@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the sanitizer passes, runnable locally or from CI:
 #
-#   scripts/ci.sh            # tier-1, diff, then ASan+UBSan and TSan stages
+#   scripts/ci.sh            # tier-1, diff, churn, routerbench, then the
+#                            # ASan+UBSan and TSan stages
 #   scripts/ci.sh --fast     # skip the sanitizer builds
 #
 # Exits non-zero on the first failure. Build trees live under build/ (the
@@ -52,6 +53,13 @@ echo "== churn: control-plane differential tests =="
 # lane below (they are not in its exclude list), and the sharded variant
 # (churn-parallel-tsan) runs in the TSan lane via -L tsan.
 ctest --test-dir "$repo/build" --output-on-failure -L '^churn$'
+
+echo "== routerbench: benchmark self-test =="
+# routerbench/ builds its own copy of src/ into .bench_build/, which tier 1
+# never compiles, and names the stack API directly (RouterKernel::Options,
+# ShardedDatapath::Options::shard, ShardContext::id). The self-test builds
+# it, runs a short mode of every workload and checks the result shape.
+python3 "$repo/routerbench/selftest.py"
 
 if [[ "$fast" == "1" ]]; then
   echo "== skipping sanitizer passes (--fast) =="

@@ -143,6 +143,29 @@ struct CoreCounters {
     for (auto d : drops) n += d;
     return n;
   }
+
+  // Field-wise sum: merges per-stack counters into one router-wide view.
+  // A field added above must be added here too (the CoreCounters unit test
+  // checks that every 64-bit word is summed).
+  CoreCounters& operator+=(const CoreCounters& o) noexcept {
+    received += o.received;
+    forwarded += o.forwarded;
+    for (std::size_t i = 0; i < std::size(drops); ++i) drops[i] += o.drops[i];
+    gate_calls += o.gate_calls;
+    icmp_errors_sent += o.icmp_errors_sent;
+    fragments_created += o.fragments_created;
+    bursts += o.bursts;
+    burst_packets += o.burst_packets;
+    gate_groups += o.gate_groups;
+    gate_group_pkts += o.gate_group_pkts;
+    fused_bursts += o.fused_bursts;
+    for (std::size_t i = 0; i < kGroupHistBuckets; ++i)
+      group_size_hist[i] += o.group_size_hist[i];
+    for (std::size_t i = 0; i < std::size(sanitize_drops); ++i)
+      sanitize_drops[i] += o.sanitize_drops[i];
+    sanitize_trimmed += o.sanitize_trimmed;
+    return *this;
+  }
 };
 
 class IpCore final : public DataPath {

@@ -1,4 +1,4 @@
-// RouterKernel — ties the subsystems together and runs the discrete-event
+// RouterKernel — one router stack (core/stack.hpp) plus the discrete-event
 // loop: NIC receive rings feed the data path; when an output link goes idle
 // the port is drained (FIFO first, then the port's scheduler), which is how
 // the packet-scheduling plugins actually shape traffic on the simulated
@@ -11,36 +11,23 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <utility>
 
-#include "aiu/aiu.hpp"
 #include "core/datapath.hpp"
-#include "core/ip_core.hpp"
+#include "core/stack.hpp"
 #include "io/io_backend.hpp"
-#include "netdev/iftable.hpp"
-#include "plugin/loader.hpp"
-#include "plugin/pcu.hpp"
-#include "resilience/resilience.hpp"
-#include "route/routing_table.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace rp::core {
 
-class RouterKernel {
+class RouterKernel : public Stack {
  public:
-  struct Options {
-    aiu::Aiu::Options aiu{};
-    CoreConfig core{};
-    std::string route_engine{"bsl"};
+  struct Options : Stack::Options {
     // §3.2: "If a cached flow remains idle for an extended period, its
     // cached entry in the flow table may be removed." The kernel sweeps the
     // flow table every `flow_sweep_interval` of virtual time and expires
     // entries idle longer than `flow_idle_timeout`. 0 disables sweeping.
     netbase::SimTime flow_idle_timeout{30 * netbase::kNsPerSec};
     netbase::SimTime flow_sweep_interval{netbase::kNsPerSec};
-    telemetry::Telemetry::Options telemetry{};
-    resilience::Supervisor::Options resilience{};
   };
 
   // Receive bursts: how many ring packets are handed to the core at once
@@ -51,19 +38,9 @@ class RouterKernel {
   explicit RouterKernel(Options opt);
   ~RouterKernel();
 
-  // -- subsystem access --
-  netbase::SimClock& clock() noexcept { return clock_; }
-  plugin::PluginControlUnit& pcu() noexcept { return pcu_; }
-  plugin::PluginLoader& loader() noexcept { return loader_; }
-  aiu::Aiu& aiu() noexcept { return *aiu_; }
-  netdev::InterfaceTable& interfaces() noexcept { return ifs_; }
   // The single-queue device backend the event loop drains rx through (one
   // queue per NIC; see io/io_backend.hpp for the multi-queue sibling).
   io::IoBackend& io() noexcept { return io_; }
-  route::RoutingTable& routes() noexcept { return routes_; }
-  IpCore& core() noexcept { return *core_; }
-  telemetry::Telemetry& telemetry() noexcept { return *telemetry_; }
-  resilience::Supervisor& resilience() noexcept { return *resil_; }
 
   // Convenience: add a NIC (see InterfaceTable::add).
   netdev::SimNic& add_interface(std::string name,
@@ -95,28 +72,13 @@ class RouterKernel {
   void dispatch(netbase::SimTime t, Event e);
   void drain_port(pkt::IfIndex iface);
 
-  netbase::SimClock clock_;
-  plugin::PluginControlUnit pcu_;
-  plugin::PluginLoader loader_;
-  netdev::InterfaceTable ifs_;
+  bool sweep_scheduled_{false};  // packs into the tail padding after id_
   io::SimNicBackend io_{ifs_};
-  route::RoutingTable routes_;
-  // Declared before aiu_: the flow table's remove hook exports records into
-  // telemetry during Aiu destruction, so telemetry must outlive it.
-  std::unique_ptr<telemetry::Telemetry> telemetry_;
-  // Declared before aiu_/core_ (so it outlives every dispatch) but after
-  // pcu_ (so its destructor runs while instances are still alive and can
-  // null each instance's cached guard slot).
-  std::unique_ptr<resilience::Supervisor> resil_;
-  std::unique_ptr<aiu::Aiu> aiu_;
-  std::unique_ptr<IpCore> core_;
-
   EventQueue events_;
   std::uint64_t seq_{0};
   std::size_t events_processed_{0};
   netbase::SimTime flow_idle_timeout_{0};
   netbase::SimTime flow_sweep_interval_{0};
-  bool sweep_scheduled_{false};
   std::size_t flows_expired_{0};
 };
 

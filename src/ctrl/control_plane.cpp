@@ -1,29 +1,14 @@
 #include "ctrl/control_plane.hpp"
 
+#include <mutex>
+
 #include "parallel/sharded_datapath.hpp"
 
 namespace rp::ctrl {
 
-route::RouteBatchResult ControlPlane::apply_route_batch(
-    const std::vector<route::RouteOp>& ops) {
-  const route::RouteBatchResult res = kernel_.routes().apply_batch(ops);
-  if (sharded_) {
-    // gather() runs the closure on each worker thread at a burst boundary:
-    // the core's forwarding memo assumes routes never mutate mid-chunk, and
-    // this is exactly the quiesce hook that guarantees it.
-    sharded_->gather([&ops](parallel::ShardContext& ctx) {
-      ctx.routes().apply_batch(ops);
-    });
-  }
-  ++stats_.route_batches;
-  stats_.routes_added += res.added;
-  stats_.routes_updated += res.updated;
-  stats_.routes_withdrawn += res.withdrawn;
-  stats_.route_failures += res.failed;
-  return res;
-}
+namespace {
 
-aiu::Aiu::FilterBatchResult ControlPlane::apply_filter_ops_on(
+aiu::Aiu::FilterBatchResult apply_filter_ops_on(
     plugin::PluginControlUnit& pcu, aiu::Aiu& a,
     const std::vector<FilterSpecOp>& ops) {
   std::vector<aiu::Aiu::FilterOp> resolved;
@@ -53,15 +38,43 @@ aiu::Aiu::FilterBatchResult ControlPlane::apply_filter_ops_on(
   return res;
 }
 
+}  // namespace
+
+std::size_t ControlPlane::stack_count() const noexcept {
+  return 1 + (sharded_ ? sharded_->workers() : 0);
+}
+
+void ControlPlane::visit_shards(
+    const std::function<void(core::Stack&, std::size_t)>& fn) {
+  // gather() runs the closure on each worker thread at a burst boundary:
+  // the core's forwarding memo assumes routes never mutate mid-chunk, and
+  // this is exactly the quiesce hook that guarantees it.
+  sharded_->gather([&fn](core::Stack& s) { fn(s, std::size_t{1} + s.id()); });
+}
+
+route::RouteBatchResult ControlPlane::apply_route_batch(
+    const std::vector<route::RouteOp>& ops) {
+  route::RouteBatchResult res;
+  for_each_stack([&](core::Stack& s, std::size_t slot) {
+    const route::RouteBatchResult r = s.routes().apply_batch(ops);
+    if (slot == 0) res = r;
+  });
+  ++stats_.route_batches;
+  stats_.routes_added += res.added;
+  stats_.routes_updated += res.updated;
+  stats_.routes_withdrawn += res.withdrawn;
+  stats_.route_failures += res.failed;
+  return res;
+}
+
 Status ControlPlane::apply_filter_batch(const std::vector<FilterSpecOp>& ops,
                                         std::string* detail) {
-  const aiu::Aiu::FilterBatchResult res =
-      apply_filter_ops_on(kernel_.pcu(), kernel_.aiu(), ops);
-  if (sharded_) {
-    sharded_->gather([&ops](parallel::ShardContext& ctx) {
-      apply_filter_ops_on(ctx.pcu(), ctx.aiu(), ops);
-    });
-  }
+  aiu::Aiu::FilterBatchResult res;
+  for_each_stack([&](core::Stack& s, std::size_t slot) {
+    const aiu::Aiu::FilterBatchResult r =
+        apply_filter_ops_on(s.pcu(), s.aiu(), ops);
+    if (slot == 0) res = r;
+  });
   ++stats_.filter_batches;
   stats_.filters_added += res.added;
   stats_.filters_removed += res.removed;
@@ -79,44 +92,37 @@ Status ControlPlane::apply_filter_batch(const std::vector<FilterSpecOp>& ops,
 Status ControlPlane::upgrade(const std::string& plugin,
                              plugin::InstanceId from, plugin::InstanceId to,
                              bool retire, std::string* detail) {
-  plugin::Plugin* pl = kernel_.pcu().find(plugin);
+  plugin::Plugin* pl = stack_.pcu().find(plugin);
   if (!pl) return Status::not_found;
   plugin::PluginInstance* old_inst = pl->instance(from);
   plugin::PluginInstance* new_inst = pl->instance(to);
   if (!old_inst || !new_inst || old_inst == new_inst)
     return Status::invalid_argument;
 
-  aiu::Aiu::HandoffResult sum = kernel_.aiu().handoff_instance(old_inst,
-                                                               new_inst);
-  if (sharded_) {
-    std::vector<aiu::Aiu::HandoffResult> per(sharded_->workers());
-    sharded_->gather([&](parallel::ShardContext& ctx) {
-      plugin::Plugin* spl = ctx.pcu().find(plugin);
-      plugin::PluginInstance* f = spl ? spl->instance(from) : nullptr;
-      plugin::PluginInstance* t = spl ? spl->instance(to) : nullptr;
-      if (f && t && f != t) per[ctx.id()] = ctx.aiu().handoff_instance(f, t);
-    });
-    for (const auto& h : per) {
+  aiu::Aiu::HandoffResult sum;
+  std::mutex sum_mu;  // shards hand off concurrently
+  for_each_stack([&](core::Stack& s, std::size_t) {
+    plugin::Plugin* spl = s.pcu().find(plugin);
+    plugin::PluginInstance* f = spl ? spl->instance(from) : nullptr;
+    plugin::PluginInstance* t = spl ? spl->instance(to) : nullptr;
+    if (f && t && f != t) {
+      const aiu::Aiu::HandoffResult h = s.aiu().handoff_instance(f, t);
+      std::lock_guard<std::mutex> lk(sum_mu);
       sum.filters_rebound += h.filters_rebound;
       sum.flows_rebound += h.flows_rebound;
       sum.state_migrated += h.state_migrated;
       sum.state_dropped += h.state_dropped;
     }
-  }
-  if (retire) {
-    // Everything is rebound, so the free's purge hooks find nothing; this is
-    // the "retire-old" step of create-new -> migrate -> retire-old.
-    plugin::PluginMsg msg;
-    msg.kind = plugin::PluginMsg::Kind::free_instance;
-    msg.plugin_name = plugin;
-    msg.instance = from;
-    kernel_.pcu().dispatch(msg);
-    if (sharded_) {
-      sharded_->gather([&](parallel::ShardContext& ctx) {
-        ctx.pcu().dispatch(msg);
-      });
+    if (retire) {
+      // Everything is rebound, so the free's purge hooks find nothing; this
+      // is the "retire-old" step of create-new -> migrate -> retire-old.
+      plugin::PluginMsg msg;
+      msg.kind = plugin::PluginMsg::Kind::free_instance;
+      msg.plugin_name = plugin;
+      msg.instance = from;
+      s.pcu().dispatch(msg);
     }
-  }
+  });
   ++stats_.upgrades;
   stats_.upgrade_filters_rebound += sum.filters_rebound;
   stats_.upgrade_flows_rebound += sum.flows_rebound;
@@ -150,9 +156,9 @@ std::string ControlPlane::status_text() const {
          " flows_rebound=" + std::to_string(s.upgrade_flows_rebound) +
          " state_migrated=" + std::to_string(s.upgrade_state_migrated) +
          " state_dropped=" + std::to_string(s.upgrade_state_dropped);
-  out += "\nroutes=" + std::to_string(kernel_.routes().size()) +
-         " hop_slots=" + std::to_string(kernel_.routes().hop_slots()) +
-         " free_hops=" + std::to_string(kernel_.routes().free_hop_count());
+  out += "\nroutes=" + std::to_string(stack_.routes().size()) +
+         " hop_slots=" + std::to_string(stack_.routes().hop_slots()) +
+         " free_hops=" + std::to_string(stack_.routes().free_hop_count());
   return out;
 }
 

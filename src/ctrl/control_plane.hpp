@@ -2,11 +2,12 @@
 // batched filter churn, and versioned plugin upgrades against a router that
 // keeps forwarding while it is reconfigured.
 //
-// The ControlPlane drives the kernel's own stack directly (it is the
-// control-plane template) and, when a ShardedDatapath is attached, mirrors
-// every mutation onto each shard's private stack through gather() — the
-// burst-boundary quiesce hook PR 4 introduced — so workers never observe a
-// half-applied update and nothing on the packet path takes a lock:
+// The ControlPlane drives every stack the router runs: its template stack
+// (normally the RouterKernel) directly and, when a ShardedDatapath is
+// attached, each shard's private stack through gather() — the burst-boundary
+// quiesce hook — so workers never observe a half-applied update and nothing
+// on the packet path takes a lock. for_each_stack() is that one iteration;
+// each operation below is one visit of it:
 //   * route batches   -> RoutingTable::apply_batch per stack (incremental
 //     CPE maintenance / eager bsl rebuild, never on the packet path);
 //   * filter batches  -> Aiu::apply_filter_batch per stack (DAG patching +
@@ -16,7 +17,9 @@
 //     lost), optionally retiring the old instance everywhere afterwards.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -62,17 +65,31 @@ class ControlPlane {
     std::uint64_t upgrade_state_dropped{0};
   };
 
-  explicit ControlPlane(core::RouterKernel& kernel) : kernel_(kernel) {}
+  explicit ControlPlane(core::Stack& stack) : stack_(stack) {}
 
-  // Points the mirroring at a running sharded datapath (null detaches). The
-  // kernel stays the control-plane template either way.
+  // Points the control plane at a running sharded datapath (null detaches).
+  // The stack given at construction stays the control-plane template.
   void attach_sharded(parallel::ShardedDatapath* dp) noexcept {
     sharded_ = dp;
   }
+  parallel::ShardedDatapath* sharded() const noexcept { return sharded_; }
 
-  // Applies the batch to the kernel table and to every shard (each on its
-  // worker thread, at a burst boundary). The returned counts are the
-  // kernel's; shard results are identical by construction (replicated
+  // Stacks for_each_stack visits: the template plus one per shard.
+  std::size_t stack_count() const noexcept;
+
+  // Runs fn(stack, slot) on every stack and returns when all have run: the
+  // template as slot 0 on the calling thread, then shard i as slot i + 1 on
+  // its own worker thread at a burst boundary. Shards run concurrently, so
+  // fn writes per-slot results. With no datapath attached this is a plain
+  // call — no allocation, no type erasure.
+  template <class Fn>
+  void for_each_stack(Fn&& fn) {
+    fn(stack_, std::size_t{0});
+    if (sharded_) visit_shards(std::ref(fn));
+  }
+
+  // Applies the batch to every stack. The returned counts are the
+  // template's; shard results are identical by construction (replicated
   // configuration) and asserted so in the churn tests.
   route::RouteBatchResult apply_route_batch(const std::vector<route::RouteOp>& ops);
 
@@ -84,9 +101,10 @@ class ControlPlane {
                             std::string* detail = nullptr);
 
   // Versioned upgrade: rebinds filters and live flows of (plugin, from) onto
-  // (plugin, to) on the kernel and on every shard, offering per-flow soft
-  // state through PluginInstance::migrate_flow. With `retire`, the old
-  // instance is then freed everywhere (its purge hooks find nothing bound).
+  // (plugin, to) on every stack, offering per-flow soft state through
+  // PluginInstance::migrate_flow; the totals are summed over every stack.
+  // With `retire`, the old instance is then freed everywhere (its purge
+  // hooks find nothing bound).
   Status upgrade(const std::string& plugin, plugin::InstanceId from,
                  plugin::InstanceId to, bool retire,
                  std::string* detail = nullptr);
@@ -95,11 +113,9 @@ class ControlPlane {
   std::string status_text() const;
 
  private:
-  static aiu::Aiu::FilterBatchResult apply_filter_ops_on(
-      plugin::PluginControlUnit& pcu, aiu::Aiu& a,
-      const std::vector<FilterSpecOp>& ops);
+  void visit_shards(const std::function<void(core::Stack&, std::size_t)>& fn);
 
-  core::RouterKernel& kernel_;
+  core::Stack& stack_;
   parallel::ShardedDatapath* sharded_{nullptr};
   Stats stats_;
 };

@@ -1,7 +1,11 @@
 #include "mgmt/pmgr.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <limits>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "parallel/sharded_datapath.hpp"
@@ -125,7 +129,7 @@ std::string format_trace(const telemetry::TraceRecord& tr) {
 }
 
 // One line of per-check ingress-sanitization counters; shared by the
-// `sanitize` command, the telemetry summary, and `shard counters`.
+// `sanitize` command and the telemetry summary.
 std::string format_sanitize(const core::CoreCounters& cc) {
   std::string out = "sanitize: dropped=" +
                     std::to_string(cc.total_sanitize_drops()) +
@@ -147,6 +151,141 @@ std::string join_from(const std::vector<std::string>& tok, std::size_t from) {
   }
   return out;
 }
+
+// Sends custom message `name` to every instance of every plugin of `type`
+// on one stack; one "plugin#id: reply" line per instance that answered.
+std::string broadcast_message(plugin::PluginControlUnit& pcu,
+                              plugin::PluginType type, const std::string& name,
+                              const plugin::Config& args) {
+  std::string text;
+  for (const auto& pname : pcu.plugin_names(type)) {
+    plugin::Plugin* pl = pcu.find(pname);
+    if (!pl) continue;
+    for (auto& [id, inst] : *pl) {
+      plugin::PluginMsg msg;
+      msg.plugin_name = pname;
+      msg.instance = id;
+      msg.custom_name = name;
+      msg.args = args;
+      plugin::PluginReply reply;
+      if (inst->handle_message(msg, reply) != Status::ok) continue;
+      if (!text.empty()) text += "\n";
+      text += pname + "#" + std::to_string(id) + ": " + reply.text;
+    }
+  }
+  return text;
+}
+
+// fn(stack) for every stack the control plane drives, in slot order: the
+// kernel first, then shard i at slot i + 1 (only the kernel when no datapath
+// is attached).
+template <class Fn>
+auto per_stack(ctrl::ControlPlane& cp, Fn fn) {
+  std::vector<std::invoke_result_t<Fn&, core::Stack&>> per(cp.stack_count());
+  cp.for_each_stack(
+      [&](core::Stack& s, std::size_t slot) { per[slot] = fn(s); });
+  return per;
+}
+
+// fn(stack) summed over every stack with +=.
+template <class Fn>
+auto merged(ctrl::ControlPlane& cp, Fn fn) {
+  auto per = per_stack(cp, fn);
+  for (std::size_t i = 1; i < per.size(); ++i) per[0] += per[i];
+  return per[0];
+}
+
+// Applies a setting to every stack.
+template <class Fn>
+void apply_all(ctrl::ControlPlane& cp, Fn fn) {
+  cp.for_each_stack([&fn](core::Stack& s, std::size_t) { fn(s); });
+}
+
+// Per-stack replies joined: the kernel's first, then each non-empty shard
+// reply under a "shardN:" label followed by `sep`.
+std::string join_stacks(const std::vector<std::string>& per, const char* sep) {
+  std::string text = per[0];
+  for (std::size_t i = 1; i < per.size(); ++i)
+    if (!per[i].empty())
+      text += (text.empty() ? "" : "\n") + ("shard" + std::to_string(i - 1)) +
+              sep + per[i];
+  return text;
+}
+
+// One stack's counters behind the `telemetry` summary.
+struct CounterView {
+  core::CoreCounters cc;
+  netdev::NicCounters nics;
+  std::uint64_t samples{0};
+  std::uint64_t flows_exported{0};
+  std::vector<std::pair<std::string, std::uint64_t>> nic_drops;  // by name
+
+  static CounterView of(core::Stack& s) {
+    CounterView v{s.core().counters(), s.interfaces().totals(),
+                  s.telemetry().samples(), s.telemetry().flows_exported(), {}};
+    for (auto& nic : s.interfaces())
+      if (nic->counters().rx_drops)
+        v.nic_drops.emplace_back(nic->name(), nic->counters().rx_drops);
+    return v;
+  }
+  CounterView& operator+=(const CounterView& o) {
+    cc += o.cc;
+    nics += o.nics;
+    samples += o.samples;
+    flows_exported += o.flows_exported;
+    for (const auto& [name, n] : o.nic_drops) {
+      auto it = std::find_if(nic_drops.begin(), nic_drops.end(),
+                             [&](const auto& e) { return e.first == name; });
+      if (it == nic_drops.end())
+        nic_drops.emplace_back(name, n);
+      else
+        it->second += n;
+    }
+    return *this;
+  }
+};
+
+// One stack's containment counters behind the `resilience` summary; the
+// guard lines stay per stack.
+struct FaultView {
+  std::uint64_t total{0}, injected{0}, opens{0}, bypassed{0};
+  std::uint64_t fallback_drops{0}, flows_rebound{0}, guards{0};
+  std::uint64_t kinds[resilience::kFaultKinds]{};
+  std::vector<std::string> guard_lines;
+
+  static FaultView of(core::Stack& s) {
+    const auto& res = s.resilience();
+    FaultView v{res.faults_total(),   res.faults_injected(),
+                res.breaker_opens(),  res.bypassed_total(),
+                res.fallback_drops(), res.flows_rebound(),
+                res.guard_count(),    {},
+                {}};
+    for (std::size_t k = 0; k < resilience::kFaultKinds; ++k)
+      v.kinds[k] = res.fault_kind_total(static_cast<resilience::FaultKind>(k));
+    res.for_each_guard([&](const resilience::InstanceGuard& g) {
+      v.guard_lines.push_back(
+          (g.inst->owner() ? g.inst->owner()->name() : std::string("?")) +
+          "#" + std::to_string(g.inst->id()) + ": " +
+          std::string(resilience::to_string(g.breaker.state)) +
+          " faults=" + std::to_string(g.faults) +
+          " bypassed=" + std::to_string(g.bypassed) +
+          " opens=" + std::to_string(g.breaker.opens));
+    });
+    return v;
+  }
+  FaultView& operator+=(const FaultView& o) {
+    total += o.total;
+    injected += o.injected;
+    opens += o.opens;
+    bypassed += o.bypassed;
+    fallback_drops += o.fallback_drops;
+    flows_rebound += o.flows_rebound;
+    guards += o.guards;
+    for (std::size_t k = 0; k < resilience::kFaultKinds; ++k)
+      kinds[k] += o.kinds[k];
+    return *this;
+  }
+};
 
 }  // namespace
 
@@ -242,17 +381,20 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
   }
   if (cmd == "telemetry") {
     auto& tel = lib_.kernel().telemetry();
-    // telemetry -> one-screen summary of the observability state.
+    // telemetry -> one-screen summary of the observability state. Counters
+    // are merged over every stack; sampling, traces and sink are the
+    // kernel's.
     if (tok.size() == 1) {
-      const auto& cc = lib_.kernel().core().counters();
+      const CounterView v = merged(ctrl_, CounterView::of);
+      const auto& cc = v.cc;
       std::string text =
           "sampling: 1-in-" +
           (tel.sample_every() ? std::to_string(tel.sample_every())
                               : std::string("off")) +
-          " samples=" + std::to_string(tel.samples()) +
+          " samples=" + std::to_string(v.samples) +
           " traces=" + std::to_string(tel.traces().captured()) + "/" +
           std::to_string(tel.traces().capacity()) +
-          "\nflow-export: records=" + std::to_string(tel.flows_exported()) +
+          "\nflow-export: records=" + std::to_string(v.flows_exported) +
           " sink=" + tel.sink().describe() +
           "\ncore: received=" + std::to_string(cc.received) +
           " forwarded=" + std::to_string(cc.forwarded) +
@@ -276,17 +418,14 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
       // Driver-level view: rx ring overflows used to be counted per NIC but
       // surfaced nowhere — a silent loss class. received + nic rx_drops
       // should equal what the wire offered.
-      const auto nt = lib_.kernel().interfaces().totals();
+      const auto& nt = v.nics;
       text += "\nnics: rx=" + std::to_string(nt.rx_packets) +
               " rx_bytes=" + std::to_string(nt.rx_bytes) +
               " rx_drops=" + std::to_string(nt.rx_drops) +
               " tx=" + std::to_string(nt.tx_packets) +
               " tx_bytes=" + std::to_string(nt.tx_bytes);
-      if (nt.rx_drops)
-        for (auto& nic : lib_.kernel().interfaces())
-          if (nic->counters().rx_drops)
-            text += "\n  " + nic->name() + ": rx_drops=" +
-                    std::to_string(nic->counters().rx_drops);
+      for (const auto& [name, n] : v.nic_drops)
+        text += "\n  " + name + ": rx_drops=" + std::to_string(n);
       text += "\n" + format_sanitize(cc);
       return {Status::ok, text};
     }
@@ -294,13 +433,19 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
     if (sub == "hist") {
       // telemetry hist            -> whole-pipeline cycle histogram
       // telemetry hist <gate>     -> per-gate histogram (ipopt, ipsec, ...)
-      if (tok.size() == 2)
-        return {Status::ok, "pipeline: " + tel.pipeline_hist().to_string()};
-      plugin::PluginType gate;
-      if (tok.size() != 3 || !parse_gate(tok[2], gate))
+      plugin::PluginType gate{};
+      if (tok.size() > 3 || (tok.size() == 3 && !parse_gate(tok[2], gate)))
         return usage("telemetry hist [gate]");
-      return {Status::ok, std::string(plugin::to_string(gate)) + ": " +
-                              tel.gate_hist(gate).to_string()};
+      const bool pipeline = tok.size() == 2;
+      auto per = per_stack(ctrl_, [&](core::Stack& s) {
+        return pipeline ? s.telemetry().pipeline_hist()
+                        : s.telemetry().gate_hist(gate);
+      });
+      for (std::size_t i = 1; i < per.size(); ++i) per[0].merge(per[i]);
+      return {Status::ok,
+              (pipeline ? std::string("pipeline")
+                        : std::string(plugin::to_string(gate))) +
+                  ": " + per[0].to_string()};
     }
     if (sub == "trace") {
       // telemetry trace [n] -> the n most recent sampled path traces.
@@ -321,7 +466,8 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
       std::uint32_t n = 0;
       if (tok.size() != 3 || (tok[2] != "off" && !parse_u32(tok[2], n)))
         return usage("telemetry sample <N|off>");
-      tel.set_sample_every(n);
+      apply_all(ctrl_,
+                [n](core::Stack& s) { s.telemetry().set_sample_every(n); });
       return {Status::ok, n ? "sampling 1-in-" + std::to_string(n)
                             : std::string("sampling off")};
     }
@@ -368,8 +514,10 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
       // Clears histograms/traces/sample counters AND the core counters so a
       // measurement window is consistent across both surfaces.
       if (tok.size() != 2) return usage("telemetry reset");
-      tel.reset();
-      lib_.kernel().core().reset_counters();
+      apply_all(ctrl_, [](core::Stack& s) {
+        s.telemetry().reset();
+        s.core().reset_counters();
+      });
       return {Status::ok, "telemetry reset"};
     }
     return {Status::invalid_argument,
@@ -378,36 +526,42 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
   }
   if (cmd == "resilience") {
     auto& res = lib_.kernel().resilience();
-    // resilience | resilience status -> containment/breaker overview.
+    // Settings reach the supervisor of every stack.
+    auto each = [this](auto fn) {
+      apply_all(ctrl_, [&fn](core::Stack& s) { fn(s.resilience()); });
+    };
+    // resilience | resilience status -> containment/breaker overview:
+    // counters merged over every stack, the kernel's guards, then each
+    // shard's totals and guards.
     if (tok.size() == 1 || (tok.size() == 2 && tok[1] == "status")) {
+      const auto per = per_stack(ctrl_, FaultView::of);
+      FaultView sum = per[0];
+      for (std::size_t i = 1; i < per.size(); ++i) sum += per[i];
       const auto& cfg = res.breaker_config();
-      std::string text =
-          "faults: total=" + std::to_string(res.faults_total()) +
-          " injected=" + std::to_string(res.faults_injected());
-      for (std::size_t k = 0; k < resilience::kFaultKinds; ++k) {
-        auto kind = static_cast<resilience::FaultKind>(k);
-        text += " " + std::string(resilience::to_string(kind)) + "=" +
-                std::to_string(res.fault_kind_total(kind));
-      }
-      text += "\nbreakers: opens=" + std::to_string(res.breaker_opens()) +
-              " bypassed=" + std::to_string(res.bypassed_total()) +
-              " fallback_drops=" + std::to_string(res.fallback_drops()) +
-              " flows_rebound=" + std::to_string(res.flows_rebound()) +
-              " guards=" + std::to_string(res.guard_count()) +
+      std::string text = "faults: total=" + std::to_string(sum.total) +
+                         " injected=" + std::to_string(sum.injected);
+      for (std::size_t k = 0; k < resilience::kFaultKinds; ++k)
+        text += " " +
+                std::string(resilience::to_string(
+                    static_cast<resilience::FaultKind>(k))) +
+                "=" + std::to_string(sum.kinds[k]);
+      text += "\nbreakers: opens=" + std::to_string(sum.opens) +
+              " bypassed=" + std::to_string(sum.bypassed) +
+              " fallback_drops=" + std::to_string(sum.fallback_drops) +
+              " flows_rebound=" + std::to_string(sum.flows_rebound) +
+              " guards=" + std::to_string(sum.guards) +
               "\nbudget: window=" + std::to_string(cfg.window) +
               " max_faults=" + std::to_string(cfg.max_faults) +
               " cooldown=" + std::to_string(cfg.cooldown) +
               " probes=" + std::to_string(cfg.probes) +
               (res.armed() ? "\ninjection: armed" : "\ninjection: disarmed");
-      res.for_each_guard([&](const resilience::InstanceGuard& g) {
-        text += "\n  " +
-                (g.inst->owner() ? g.inst->owner()->name() : std::string("?")) +
-                "#" + std::to_string(g.inst->id()) + ": " +
-                std::string(resilience::to_string(g.breaker.state)) +
-                " faults=" + std::to_string(g.faults) +
-                " bypassed=" + std::to_string(g.bypassed) +
-                " opens=" + std::to_string(g.breaker.opens);
-      });
+      for (const auto& line : per[0].guard_lines) text += "\n  " + line;
+      for (std::size_t i = 1; i < per.size(); ++i) {
+        text += "\n  shard" + std::to_string(i - 1) +
+                ": faults=" + std::to_string(per[i].total) +
+                " opens=" + std::to_string(per[i].opens);
+        for (const auto& line : per[i].guard_lines) text += "\n    " + line;
+      }
       return {Status::ok, text};
     }
     const std::string& sub = tok[1];
@@ -456,7 +610,7 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
         if (tok.size() != 5 || !parse_gate(tok[3], gate) ||
             (tok[4] != "off" && !parse_u64(tok[4], n)))
           return usage("resilience budget cycles <gate> <N|off>");
-        res.set_cycle_budget(gate, n);
+        each([&](auto& r) { r.set_cycle_budget(gate, n); });
         return {Status::ok, std::string(plugin::to_string(gate)) +
                                 " cycle budget " +
                                 (n ? std::to_string(n) : std::string("off"))};
@@ -468,29 +622,33 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
         return usage(
             "resilience budget [<window> <max_faults> <cooldown> <probes> | "
             "cycles <gate> <N|off>]");
-      res.breaker_config() = {w, f, c, p};
+      each([&](auto& r) { r.breaker_config() = {w, f, c, p}; });
       return {Status::ok, "error budget: " + std::to_string(f) + " faults per " +
                               std::to_string(w) + " calls"};
     }
     if (sub == "trip" || sub == "reset") {
       // resilience trip <plugin> <id> | resilience reset <plugin> <id> | all
       if (sub == "reset" && tok.size() == 3 && tok[2] == "all") {
-        res.reset_all();
+        each([](auto& r) { r.reset_all(); });
         return {Status::ok, "all breakers closed, counters cleared"};
       }
       std::uint32_t id;
       if (tok.size() != 4 || !parse_u32(tok[3], id))
         return usage(sub == "trip" ? "resilience trip <plugin> <id>"
                                    : "resilience reset <plugin> <id> | all");
-      auto* inst = lib_.kernel().pcu().find_instance(tok[2], id);
-      if (!inst)
+      if (!lib_.kernel().pcu().find_instance(tok[2], id))
         return {Status::not_found, "no instance " + tok[2] + "#" + tok[3]};
-      if (sub == "trip") {
-        res.trip(*inst);
-        return {Status::ok, tok[2] + "#" + tok[3] + " tripped (open)"};
-      }
-      res.reset(*inst);
-      return {Status::ok, tok[2] + "#" + tok[3] + " reset (closed)"};
+      const bool trip = sub == "trip";
+      apply_all(ctrl_, [&](core::Stack& s) {
+        auto* inst = s.pcu().find_instance(tok[2], id);
+        if (!inst) return;
+        if (trip)
+          s.resilience().trip(*inst);
+        else
+          s.resilience().reset(*inst);
+      });
+      return {Status::ok, tok[2] + "#" + tok[3] +
+                              (trip ? " tripped (open)" : " reset (closed)")};
     }
     if (sub == "fallback") {
       // resilience fallback                 -> show matrix
@@ -511,7 +669,7 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
           !parse_fallback(tok[3], f))
         return usage(
             "resilience fallback [<gate> <fail_open|fail_closed|best_effort>]");
-      res.set_fallback(gate, f);
+      each([&](auto& r) { r.set_fallback(gate, f); });
       return {Status::ok, std::string(plugin::to_string(gate)) + " falls back " +
                               std::string(resilience::to_string(f))};
     }
@@ -522,14 +680,14 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
       // resilience inject <gate> <kind> prob <p>
       // resilience inject <gate> <kind> off
       if (tok.size() == 3 && tok[2] == "off") {
-        res.clear_injection();
+        each([](auto& r) { r.clear_injection(); });
         return {Status::ok, "injection disarmed"};
       }
       if (tok.size() == 4 && tok[2] == "seed") {
         std::uint64_t seed;
         if (!parse_u64(tok[3], seed))
           return usage("resilience inject seed <n>");
-        res.reseed_injection(seed);
+        each([&](auto& r) { r.reseed_injection(seed); });
         return {Status::ok, "injector reseeded"};
       }
       plugin::PluginType gate;
@@ -537,14 +695,14 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
       if (tok.size() >= 4 && parse_gate(tok[2], gate) &&
           parse_fault_kind(tok[3], kind)) {
         if (tok.size() == 5 && tok[4] == "off") {
-          res.set_injection(gate, kind, {});
+          each([&](auto& r) { r.set_injection(gate, kind, {}); });
           return {Status::ok, "rule cleared"};
         }
         if (tok.size() == 6 && tok[4] == "every") {
           std::uint32_t n;
           if (!parse_u32(tok[5], n) || n == 0)
             return usage("resilience inject <gate> <kind> every <N>");
-          res.set_injection(gate, kind, {.every = n});
+          each([&](auto& r) { r.set_injection(gate, kind, {.every = n}); });
           return {Status::ok,
                   "inject " + std::string(resilience::to_string(kind)) +
                       " at " + std::string(plugin::to_string(gate)) +
@@ -554,7 +712,9 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
           double p;
           if (!parse_f64(tok[5], p) || p <= 0.0 || p > 1.0)
             return usage("resilience inject <gate> <kind> prob <0<p<=1>");
-          res.set_injection(gate, kind, {.probability = p});
+          each([&](auto& r) {
+            r.set_injection(gate, kind, {.probability = p});
+          });
           return {Status::ok,
                   "inject " + std::string(resilience::to_string(kind)) +
                       " at " + std::string(plugin::to_string(gate)) +
@@ -570,13 +730,13 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
                 "; expected status|events|budget|trip|reset|fallback|inject"};
   }
   if (cmd == "shard") {
-    // Operator views over the N-worker datapath. Reads come in two grades:
-    // `status` copies each worker's lock-free snapshot (slightly stale, never
-    // blocks traffic); everything else aggregates exactly via gather(), which
-    // runs on each worker thread at a burst boundary.
-    if (!sharded_)
+    // Views of the N-worker datapath itself: `status` copies each worker's
+    // lock-free snapshot (slightly stale, never blocks traffic), `sweep`
+    // and `io` act on the workers and their queues. Counters, telemetry and
+    // resilience of the shards' stacks are in `telemetry` / `resilience`.
+    if (!ctrl_.sharded())
       return {Status::not_found, "no sharded datapath attached"};
-    auto& dp = *sharded_;
+    auto& dp = *ctrl_.sharded();
     if (tok.size() == 1 || (tok.size() == 2 && tok[1] == "status")) {
       std::string text = "workers=" + std::to_string(dp.workers()) +
                          " submitted=" + std::to_string(dp.submitted());
@@ -592,107 +752,12 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
       return {Status::ok, text};
     }
     const std::string& sub = tok[1];
-    if (sub == "counters") {
-      if (tok.size() != 2) return usage("shard counters");
-      dp.quiesce();
-      const auto cc = dp.aggregate_counters();
-      std::string text =
-          "received=" + std::to_string(cc.received) +
-          " forwarded=" + std::to_string(cc.forwarded) +
-          " gate_calls=" + std::to_string(cc.gate_calls) +
-          " bursts=" + std::to_string(cc.bursts) +
-          "\ndrops: total=" + std::to_string(cc.total_drops());
-      for (std::size_t r = 1;
-           r < static_cast<std::size_t>(core::DropReason::kCount); ++r)
-        if (cc.drops[r])
-          text += " " +
-                  std::string(core::to_string(static_cast<core::DropReason>(r))) +
-                  "=" + std::to_string(cc.drops[r]);
-      text += "\ngate-batch: groups=" + std::to_string(cc.gate_groups) +
-              " group_pkts=" + std::to_string(cc.gate_group_pkts) +
-              " fused_bursts=" + std::to_string(cc.fused_bursts);
-      const auto nt = dp.aggregate_nic_counters();
-      text += "\nnics: rx=" + std::to_string(nt.rx_packets) +
-              " rx_drops=" + std::to_string(nt.rx_drops) +
-              " tx=" + std::to_string(nt.tx_packets);
-      text += "\n" + format_sanitize(cc);
-      return {Status::ok, text};
-    }
-    if (sub == "telemetry") {
-      // One router-wide view merged from the per-worker telemetry state.
-      if (tok.size() != 2) return usage("shard telemetry");
-      struct PerShard {
-        telemetry::LatencyHistogram pipeline;
-        std::uint64_t samples, flows_exported, traces;
-      };
-      std::vector<PerShard> per(dp.workers());
-      dp.gather([&per](parallel::ShardContext& ctx) {
-        auto& tel = ctx.telemetry();
-        per[ctx.id()] = {tel.pipeline_hist(), tel.samples(),
-                         tel.flows_exported(), tel.traces().captured()};
-      });
-      telemetry::LatencyHistogram merged;
-      std::uint64_t samples = 0, flows = 0, traces = 0;
-      for (const auto& p : per) {
-        merged.merge(p.pipeline);
-        samples += p.samples;
-        flows += p.flows_exported;
-        traces += p.traces;
-      }
-      std::string text = "samples=" + std::to_string(samples) +
-                         " traces=" + std::to_string(traces) +
-                         " flow-exports=" + std::to_string(flows) +
-                         "\npipeline: " + merged.to_string();
-      if (!text.empty() && text.back() == '\n') text.pop_back();
-      return {Status::ok, text};
-    }
-    if (sub == "resilience") {
-      if (tok.size() != 2) return usage("shard resilience");
-      struct PerShard {
-        std::uint64_t faults, injected, opens, bypassed, drops, rebound;
-      };
-      std::vector<PerShard> per(dp.workers());
-      dp.gather([&per](parallel::ShardContext& ctx) {
-        auto& r = ctx.resilience();
-        per[ctx.id()] = {r.faults_total(),    r.faults_injected(),
-                         r.breaker_opens(),   r.bypassed_total(),
-                         r.fallback_drops(),  r.flows_rebound()};
-      });
-      PerShard sum{};
-      for (const auto& p : per) {
-        sum.faults += p.faults;
-        sum.injected += p.injected;
-        sum.opens += p.opens;
-        sum.bypassed += p.bypassed;
-        sum.drops += p.drops;
-        sum.rebound += p.rebound;
-      }
-      std::string text =
-          "faults: total=" + std::to_string(sum.faults) +
-          " injected=" + std::to_string(sum.injected) +
-          "\nbreakers: opens=" + std::to_string(sum.opens) +
-          " bypassed=" + std::to_string(sum.bypassed) +
-          " fallback_drops=" + std::to_string(sum.drops) +
-          " flows_rebound=" + std::to_string(sum.rebound);
-      for (std::uint32_t i = 0; i < dp.workers(); ++i)
-        text += "\n  shard" + std::to_string(i) +
-                ": faults=" + std::to_string(per[i].faults) +
-                " opens=" + std::to_string(per[i].opens);
-      return {Status::ok, text};
-    }
-    if (sub == "reset") {
-      // Counter + telemetry reset on every shard, applied at each worker's
-      // next burst boundary — the quiesce hook, safe mid-traffic.
-      if (tok.size() != 2) return usage("shard reset");
-      dp.gather([](parallel::ShardContext& ctx) {
-        ctx.core().reset_counters();
-        ctx.telemetry().reset();
-      });
-      return {Status::ok, "all shards reset"};
-    }
     if (sub == "sweep") {
+      // The cutoff is a signed virtual time: larger values would wrap.
       std::uint64_t cutoff;
-      if (tok.size() != 3 || !parse_u64(tok[2], cutoff))
+      if (tok.size() != 3 || !parse_u64(tok[2], cutoff) ||
+          cutoff > static_cast<std::uint64_t>(
+                       std::numeric_limits<netbase::SimTime>::max()))
         return usage("shard sweep <ns>");
       dp.sweep_flows(static_cast<netbase::SimTime>(cutoff));
       return {Status::ok, "swept flows idle since " + tok[2]};
@@ -724,22 +789,25 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
       return {Status::ok, text};
     }
     return {Status::invalid_argument,
-            "unknown shard subcommand: " + sub +
-                "; expected status|counters|telemetry|resilience|reset|"
-                "sweep|io"};
+            "unknown shard subcommand: " + sub + "; expected status|sweep|io"};
   }
   if (cmd == "sanitize") {
-    auto& core = lib_.kernel().core();
-    // sanitize -> per-check ingress-sanitization counters.
+    // sanitize -> per-check ingress-sanitization counters, merged over every
+    // stack; the state is the kernel's.
     if (tok.size() == 1) {
-      std::string text = format_sanitize(core.counters());
-      text += std::string("\nstate: ") + (core.config().sanitize ? "on" : "off");
+      std::string text = format_sanitize(
+          merged(ctrl_, [](core::Stack& s) { return s.core().counters(); }));
+      text += std::string("\nstate: ") +
+              (lib_.kernel().core().config().sanitize ? "on" : "off");
       return {Status::ok, text};
     }
-    // sanitize on|off -> toggle the gate (off exists to measure its cost;
-    // the flow-key parser still fails closed on malformed lengths).
+    // sanitize on|off -> toggle the gate on every stack (off exists to
+    // measure its cost; the flow-key parser still fails closed on malformed
+    // lengths).
     if (tok.size() == 2 && (tok[1] == "on" || tok[1] == "off")) {
-      core.config().sanitize = tok[1] == "on";
+      const bool on = tok[1] == "on";
+      apply_all(ctrl_,
+                [on](core::Stack& s) { s.core().config().sanitize = on; });
       return {Status::ok, "sanitize " + tok[1]};
     }
     return usage("sanitize [on|off]");
@@ -747,45 +815,22 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
   if (cmd == "l7") {
     // Operator surface of the stateful L7 inspection gate. status/verdicts/
     // budget/reset broadcast to every instance of every l7-type plugin;
-    // `rules` targets one (plugin, instance) pair. With a sharded datapath
-    // attached, every subcommand also reaches each shard's private
-    // instances via the quiesce-safe gather hook — rules included, since
-    // those are the instances that actually see traffic.
+    // `rules` targets one (plugin, instance) pair. Every subcommand reaches
+    // every stack — with a sharded datapath attached, each shard's private
+    // instances too (they are the ones that see traffic), via the
+    // quiesce-safe gather hook.
     const std::string sub = tok.size() > 1 ? tok[1] : "status";
-    auto broadcast = [](plugin::PluginControlUnit& pcu, const std::string& name,
-                        const plugin::Config& args, std::string& text) {
-      for (const auto& pname : pcu.plugin_names(plugin::PluginType::l7)) {
-        plugin::Plugin* pl = pcu.find(pname);
-        if (!pl) continue;
-        for (auto& [id, inst] : *pl) {
-          plugin::PluginMsg msg;
-          msg.plugin_name = pname;
-          msg.instance = id;
-          msg.custom_name = name;
-          msg.args = args;
-          plugin::PluginReply reply;
-          if (inst->handle_message(msg, reply) != Status::ok) continue;
-          if (!text.empty()) text += "\n";
-          text += pname + "#" + std::to_string(id) + ": " + reply.text;
-        }
-      }
-    };
     if (sub == "status" || sub == "verdicts" || sub == "reset" ||
         sub == "budget") {
       plugin::Config args;
       if (sub == "budget") args = parse_kv(tok, 2);
-      std::string text;
-      broadcast(lib_.kernel().pcu(), sub, args, text);
-      if (sharded_) {
-        std::vector<std::string> per(sharded_->workers());
-        sharded_->gather([&](parallel::ShardContext& ctx) {
-          broadcast(ctx.pcu(), sub, args, per[ctx.id()]);
-        });
-        for (std::uint32_t i = 0; i < sharded_->workers(); ++i)
-          if (!per[i].empty())
-            text += (text.empty() ? "" : "\n") + ("shard" + std::to_string(i)) +
-                    ":\n" + per[i];
-      }
+      const std::string text = join_stacks(
+          per_stack(ctrl_,
+                    [&](core::Stack& s) {
+                      return broadcast_message(s.pcu(), plugin::PluginType::l7,
+                                               sub, args);
+                    }),
+          ":\n");
       return {Status::ok, text.empty() ? "no l7 instances" : text};
     }
     if (sub == "rules") {
@@ -797,43 +842,31 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
       std::uint32_t id;
       if (!parse_u32(tok[3], id)) return usage(u);
       const std::string op = tok.size() > 4 ? tok[4] : "list";
-      plugin::Config args;
-      args.set("op", op);
+      plugin::PluginMsg msg;
+      msg.kind = plugin::PluginMsg::Kind::custom;
+      msg.plugin_name = tok[2];
+      msg.instance = id;
+      msg.custom_name = "rules";
+      msg.args.set("op", op);
       if (op == "add" || op == "set") {
         if (tok.size() != 6) return usage(u);
-        args.set("patterns", tok[5]);
+        msg.args.set("patterns", tok[5]);
       } else if (tok.size() != 5 && tok.size() != 4) {
         return usage(u);
       }
-      auto reply = lib_.message(tok[2], id, "rules", args);
-      if (!sharded_) return {reply.status, reply.text};
-      // Mirror the mutation (or listing) onto each shard's private
-      // instance of the same (plugin, id); the per-shard generation bump
-      // makes the automaton rebuild safe mid-traffic. The command succeeds
-      // if any instance — main or shard — answered.
-      std::string text = reply.status == Status::ok ? reply.text : "";
-      bool any = reply.status == Status::ok;
-      std::vector<std::string> per(sharded_->workers());
-      sharded_->gather([&](parallel::ShardContext& ctx) {
-        plugin::Plugin* pl = ctx.pcu().find(tok[2]);
-        plugin::PluginInstance* inst = pl ? pl->instance(id) : nullptr;
-        if (!inst) return;
-        plugin::PluginMsg msg;
-        msg.plugin_name = tok[2];
-        msg.instance = id;
-        msg.custom_name = "rules";
-        msg.args = args;
-        plugin::PluginReply r;
-        if (inst->handle_message(msg, r) == Status::ok) per[ctx.id()] = r.text;
-      });
-      for (std::uint32_t i = 0; i < sharded_->workers(); ++i) {
-        if (per[i].empty()) continue;
+      // The per-stack generation bump makes the automaton rebuild safe
+      // mid-traffic. The command succeeds if any stack's instance answered.
+      const auto replies = per_stack(
+          ctrl_, [&msg](core::Stack& s) { return s.pcu().dispatch(msg); });
+      std::vector<std::string> texts(replies.size());
+      bool any = false;
+      for (std::size_t i = 0; i < replies.size(); ++i) {
+        if (replies[i].status != Status::ok) continue;
+        texts[i] = replies[i].text;
         any = true;
-        text += (text.empty() ? "" : "\n") + ("shard" + std::to_string(i)) +
-                ": " + per[i];
       }
-      if (!any) return {reply.status, reply.text};
-      return {Status::ok, text};
+      if (!any) return {replies[0].status, replies[0].text};
+      return {Status::ok, join_stacks(texts, ": ")};
     }
     return {Status::invalid_argument,
             "unknown l7 subcommand: " + sub +
@@ -850,10 +883,9 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
   if (cmd == "ctrl") {
     // Live control plane (docs/control_plane.md): batched route updates,
     // batched filter churn and versioned plugin upgrades. Each command is
-    // one atomic reconfiguration, applied to the kernel stack and — with a
-    // sharded datapath attached — mirrored onto every shard's private stack
-    // at its next burst boundary via the quiesce-safe gather hook.
-    ctrl_.attach_sharded(sharded_);
+    // one atomic reconfiguration applied to every stack — the kernel and,
+    // with a sharded datapath attached, each shard's private stack at its
+    // next burst boundary via the quiesce-safe gather hook.
     const std::string sub = tok.size() > 1 ? tok[1] : "status";
     if (sub == "status") {
       if (tok.size() > 2) return usage("ctrl status");
@@ -949,9 +981,9 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
   }
   if (cmd == "sched") {
     // Operator surface of the scheduling gate. Each subcommand broadcasts a
-    // plugin message to every instance of every sched-type plugin (and,
-    // with a sharded datapath attached, to each shard's private instances
-    // via the quiesce-safe gather hook):
+    // plugin message to every instance of every sched-type plugin on every
+    // stack (with a sharded datapath attached, each shard's private
+    // instances too, via the quiesce-safe gather hook):
     //   sched status     per-instance queue/backlog/drop counters ("stats")
     //   sched ranks      rank-function configuration (Eiffel: rank fn,
     //                    granularity, horizon, window base, virtual clock)
@@ -963,36 +995,13 @@ PluginManager::Result PluginManager::exec(std::string_view command) {
       return usage("sched [status|ranks|occupancy]");
     if (tok.size() > 2) return usage("sched [status|ranks|occupancy]");
     const std::string mname = sub == "status" ? "stats" : sub;
-    auto broadcast = [&mname](plugin::PluginControlUnit& pcu,
-                              std::string& text) {
-      for (const auto& pname :
-           pcu.plugin_names(plugin::PluginType::sched)) {
-        plugin::Plugin* pl = pcu.find(pname);
-        if (!pl) continue;
-        for (auto& [id, inst] : *pl) {
-          plugin::PluginMsg msg;
-          msg.plugin_name = pname;
-          msg.instance = id;
-          msg.custom_name = mname;
-          plugin::PluginReply reply;
-          if (inst->handle_message(msg, reply) != Status::ok) continue;
-          if (!text.empty()) text += "\n";
-          text += pname + "#" + std::to_string(id) + ": " + reply.text;
-        }
-      }
-    };
-    std::string text;
-    broadcast(lib_.kernel().pcu(), text);
-    if (sharded_) {
-      std::vector<std::string> per(sharded_->workers());
-      sharded_->gather([&](parallel::ShardContext& ctx) {
-        broadcast(ctx.pcu(), per[ctx.id()]);
-      });
-      for (std::uint32_t i = 0; i < sharded_->workers(); ++i)
-        if (!per[i].empty())
-          text += (text.empty() ? "" : "\n") + ("shard" + std::to_string(i)) +
-                  ":\n" + per[i];
-    }
+    const std::string text = join_stacks(
+        per_stack(ctrl_,
+                  [&mname](core::Stack& s) {
+                    return broadcast_message(s.pcu(), plugin::PluginType::sched,
+                                             mname, {});
+                  }),
+        ":\n");
     return {Status::ok, text.empty() ? "no sched instances" : text};
   }
   return {Status::invalid_argument, "unknown command: " + cmd};

@@ -22,12 +22,19 @@
 //   telemetry sink <mem|jsonl <path>>   choose the flow-record sink
 //   telemetry metrics                   plugin-registered counters (docs §8)
 //   telemetry reset                     clear histograms/traces/core counters
+//   resilience [status|events|budget|trip|reset|fallback|inject ...]
+//                                       plugin fault containment
+//   sanitize [on|off]                   ingress-sanitization counters/toggle
+//   l7 ... | sched ...                  L7 inspection / scheduler surfaces
+//   (telemetry, resilience, sanitize, l7 and sched span every stack: with a
+//   ShardedDatapath attached they merge counters and histograms over the
+//   kernel and every shard, and apply settings to each; shown settings are
+//   the kernel's. `telemetry trace|export|sink` and `resilience events`
+//   stay on the kernel stack: they are per-stack record streams and file
+//   sinks.)
 //   shard [status]                      per-shard snapshots (lock-free reads)
-//   shard counters                      exact aggregate core counters (gather)
-//   shard telemetry                     merged per-worker histograms + samples
-//   shard resilience                    summed per-worker fault/breaker totals
-//   shard reset                         reset counters+telemetry on all shards
 //   shard sweep <ns>                    expire idle flows on every shard
+//   shard io                            per-queue I/O backend view
 //   (shard commands need a ShardedDatapath attached via attach_sharded)
 //   ctrl route-batch (add <prefix> <iface> | withdraw <prefix>)...
 //                                       one atomic batched route update
@@ -36,7 +43,7 @@
 //   ctrl upgrade <plugin> <old> <new> [retire]
 //                                       zero-loss instance hot-swap
 //   ctrl status                         control-plane counters
-//   (ctrl commands mirror onto every shard when a datapath is attached)
+//   (ctrl commands apply to every stack)
 //   For k=v values containing spaces (e.g. filter=<a, b, ...>) use commas
 //   instead of spaces inside the value.
 //
@@ -49,10 +56,6 @@
 
 #include "ctrl/control_plane.hpp"
 #include "mgmt/rplib.hpp"
-
-namespace rp::parallel {
-class ShardedDatapath;
-}
 
 namespace rp::mgmt {
 
@@ -67,11 +70,11 @@ class PluginManager {
   explicit PluginManager(RouterPluginLib& lib)
       : lib_(lib), ctrl_(lib.kernel()) {}
 
-  // Points the `shard` command family at a running sharded datapath. The
-  // lib's kernel stays the control-plane template; the datapath is where
-  // traffic actually flows. Null detaches.
+  // Adds a running sharded datapath's stacks to every command (see the
+  // reference above). The lib's kernel stays the control-plane template;
+  // the datapath is where traffic actually flows. Null detaches.
   void attach_sharded(parallel::ShardedDatapath* dp) noexcept {
-    sharded_ = dp;
+    ctrl_.attach_sharded(dp);
   }
 
   Result exec(std::string_view command);
@@ -85,7 +88,6 @@ class PluginManager {
 
  private:
   RouterPluginLib& lib_;
-  parallel::ShardedDatapath* sharded_{nullptr};
   ctrl::ControlPlane ctrl_;
 };
 

@@ -44,14 +44,7 @@ class InterfaceTable {
   // used to be counted but never aggregated anywhere).
   NicCounters totals() const noexcept {
     NicCounters t{};
-    for (const auto& n : nics_) {
-      const NicCounters& c = n->counters();
-      t.rx_packets += c.rx_packets;
-      t.rx_bytes += c.rx_bytes;
-      t.rx_drops += c.rx_drops;
-      t.tx_packets += c.tx_packets;
-      t.tx_bytes += c.tx_bytes;
-    }
+    for (const auto& n : nics_) t += n->counters();
     return t;
   }
 

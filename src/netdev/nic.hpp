@@ -23,6 +23,15 @@ struct NicCounters {
   std::uint64_t rx_drops{0};  // receive ring overflow
   std::uint64_t tx_packets{0};
   std::uint64_t tx_bytes{0};
+
+  NicCounters& operator+=(const NicCounters& o) noexcept {
+    rx_packets += o.rx_packets;
+    rx_bytes += o.rx_bytes;
+    rx_drops += o.rx_drops;
+    tx_packets += o.tx_packets;
+    tx_bytes += o.tx_bytes;
+    return *this;
+  }
 };
 
 class SimNic {

@@ -6,18 +6,6 @@ namespace rp::parallel {
 
 namespace {
 
-telemetry::ExportReason export_reason(aiu::FlowTable::RemoveReason why) {
-  using R = aiu::FlowTable::RemoveReason;
-  switch (why) {
-    case R::recycled: return telemetry::ExportReason::recycled;
-    case R::expired: return telemetry::ExportReason::expired;
-    case R::purged: return telemetry::ExportReason::purged;
-    case R::cleared: return telemetry::ExportReason::cleared;
-    case R::removed: break;
-  }
-  return telemetry::ExportReason::removed;
-}
-
 std::uint64_t thread_cpu_ns() noexcept {
   timespec ts{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
@@ -30,38 +18,6 @@ std::uint64_t thread_cpu_ns() noexcept {
 constexpr std::uint64_t kPublishEveryBursts = 16;
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// ShardContext — RouterKernel's subsystem wiring, minus the event loop.
-
-ShardContext::ShardContext(std::uint32_t shard_id, const ShardOptions& opt)
-    : id_(shard_id),
-      loader_(pcu_),
-      routes_(opt.route_engine),
-      telemetry_(std::make_unique<telemetry::Telemetry>(opt.telemetry)),
-      resil_(std::make_unique<resilience::Supervisor>(opt.resilience)),
-      aiu_(std::make_unique<aiu::Aiu>(pcu_, clock_, opt.aiu)),
-      core_(std::make_unique<core::IpCore>(*aiu_, routes_, ifs_, clock_,
-                                           opt.core)) {
-  pcu_.add_purge_hook([this](plugin::PluginInstance* inst) {
-    core_->detach_scheduler(inst);
-    resil_->forget(inst);
-  });
-  core_->set_telemetry(telemetry_.get());
-  resil_->set_aiu(aiu_.get());
-  resil_->set_clock(&clock_);
-  core_->set_resilience(resil_.get());
-  aiu_->flow_table().set_remove_hook(
-      [this](const aiu::FlowRecord& r, aiu::FlowTable::RemoveReason why) {
-        telemetry_->flow_closed({r.key, r.packets, r.bytes, r.first_seen,
-                                 r.last_used, export_reason(why)});
-      });
-}
-
-ShardContext::~ShardContext() = default;
-
-// ---------------------------------------------------------------------------
-// Worker
 
 Worker::Worker(std::uint32_t shard_id, const ShardOptions& opt,
                std::size_t ring_capacity)

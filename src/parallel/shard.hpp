@@ -1,9 +1,9 @@
 // One shard of the parallel datapath: a worker thread that owns a complete,
-// private EISR stack — PCU, plugin instances, AIU (filter tables + flow
-// table), routing table, interfaces, IP core, telemetry, and resilience
-// supervisor. Nothing on the packet path is shared between shards, so the
-// per-packet machinery runs exactly the single-threaded code (the
-// differential test in tests/test_shard_diff.cpp holds it to that).
+// private EISR stack (core::Stack — the same class, wired the same way, that
+// RouterKernel runs its event loop over). Nothing on the packet path is
+// shared between shards, so the per-packet machinery runs exactly the
+// single-threaded code (the differential test in tests/test_shard_diff.cpp
+// holds it to that).
 //
 // Cross-thread traffic happens on exactly three fabrics, all lock-free on
 // the packet path:
@@ -20,71 +20,19 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 
-#include "aiu/aiu.hpp"
-#include "core/ip_core.hpp"
+#include "core/stack.hpp"
 #include "io/io_backend.hpp"
-#include "netdev/iftable.hpp"
 #include "parallel/epoch.hpp"
 #include "parallel/spsc_ring.hpp"
-#include "plugin/loader.hpp"
-#include "plugin/pcu.hpp"
-#include "resilience/resilience.hpp"
-#include "route/routing_table.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace rp::parallel {
 
-// Per-shard stack configuration — the same knobs RouterKernel::Options
-// exposes for the single-threaded kernel.
-struct ShardOptions {
-  aiu::Aiu::Options aiu{};
-  core::CoreConfig core{};
-  std::string route_engine{"bsl"};
-  telemetry::Telemetry::Options telemetry{};
-  resilience::Supervisor::Options resilience{};
-};
-
-// A complete private router stack, wired exactly like RouterKernel wires its
-// subsystems (telemetry attached to the core, supervisor guarding gates,
-// flow-table removals exported as flow records, purge hooks installed).
-class ShardContext {
- public:
-  ShardContext(std::uint32_t shard_id, const ShardOptions& opt);
-  ~ShardContext();
-
-  ShardContext(const ShardContext&) = delete;
-  ShardContext& operator=(const ShardContext&) = delete;
-
-  std::uint32_t id() const noexcept { return id_; }
-  netbase::SimClock& clock() noexcept { return clock_; }
-  plugin::PluginControlUnit& pcu() noexcept { return pcu_; }
-  plugin::PluginLoader& loader() noexcept { return loader_; }
-  aiu::Aiu& aiu() noexcept { return *aiu_; }
-  netdev::InterfaceTable& interfaces() noexcept { return ifs_; }
-  route::RoutingTable& routes() noexcept { return routes_; }
-  core::IpCore& core() noexcept { return *core_; }
-  telemetry::Telemetry& telemetry() noexcept { return *telemetry_; }
-  resilience::Supervisor& resilience() noexcept { return *resil_; }
-
- private:
-  std::uint32_t id_;
-  netbase::SimClock clock_;
-  plugin::PluginControlUnit pcu_;
-  plugin::PluginLoader loader_;
-  netdev::InterfaceTable ifs_;
-  route::RoutingTable routes_;
-  // Destruction order mirrors RouterKernel: telemetry outlives the AIU
-  // (flow-table teardown exports records), the supervisor outlives the core.
-  std::unique_ptr<telemetry::Telemetry> telemetry_;
-  std::unique_ptr<resilience::Supervisor> resil_;
-  std::unique_ptr<aiu::Aiu> aiu_;
-  std::unique_ptr<core::IpCore> core_;
-};
+// A shard's private stack and its configuration.
+using ShardContext = core::Stack;
+using ShardOptions = core::Stack::Options;
 
 // Lock-free status snapshot a worker publishes at burst boundaries; the
 // control plane reads the latest without quiescing (pmgr `shard status`).

@@ -140,10 +140,6 @@ void ShardedDatapath::quiesce() {
   for (auto& w : workers_) w->quiesce();
 }
 
-void ShardedDatapath::reset_counters() {
-  gather([](ShardContext& ctx) { ctx.core().reset_counters(); });
-}
-
 void ShardedDatapath::sweep_flows(netbase::SimTime cutoff) {
   gather([cutoff](ShardContext& ctx) {
     ctx.aiu().flow_table().expire_idle(cutoff);
@@ -156,25 +152,7 @@ core::CoreCounters ShardedDatapath::aggregate_counters() {
     per[ctx.id()] = ctx.core().counters();
   });
   core::CoreCounters sum{};
-  for (const auto& c : per) {
-    sum.received += c.received;
-    sum.forwarded += c.forwarded;
-    for (std::size_t i = 0; i < std::size(sum.drops); ++i)
-      sum.drops[i] += c.drops[i];
-    sum.gate_calls += c.gate_calls;
-    sum.icmp_errors_sent += c.icmp_errors_sent;
-    sum.fragments_created += c.fragments_created;
-    sum.bursts += c.bursts;
-    sum.burst_packets += c.burst_packets;
-    sum.gate_groups += c.gate_groups;
-    sum.gate_group_pkts += c.gate_group_pkts;
-    sum.fused_bursts += c.fused_bursts;
-    for (std::size_t i = 0; i < std::size(sum.group_size_hist); ++i)
-      sum.group_size_hist[i] += c.group_size_hist[i];
-    for (std::size_t i = 0; i < std::size(sum.sanitize_drops); ++i)
-      sum.sanitize_drops[i] += c.sanitize_drops[i];
-    sum.sanitize_trimmed += c.sanitize_trimmed;
-  }
+  for (const auto& c : per) sum += c;
   return sum;
 }
 
@@ -184,13 +162,7 @@ netdev::NicCounters ShardedDatapath::aggregate_nic_counters() {
     per[ctx.id()] = ctx.interfaces().totals();
   });
   netdev::NicCounters sum{};
-  for (const auto& c : per) {
-    sum.rx_packets += c.rx_packets;
-    sum.rx_bytes += c.rx_bytes;
-    sum.rx_drops += c.rx_drops;
-    sum.tx_packets += c.tx_packets;
-    sum.tx_bytes += c.tx_bytes;
-  }
+  for (const auto& c : per) sum += c;
   return sum;
 }
 

@@ -122,9 +122,8 @@ class ShardedDatapath {
   // Blocks until every submitted packet and posted command has completed.
   void quiesce();
 
-  // Control-path mutations proven safe mid-traffic (the quiesce-hook fix):
-  // both run at burst boundaries on the owning worker, never mid-burst.
-  void reset_counters();
+  // Flow-table sweep, safe mid-traffic (the quiesce-hook fix): runs at a
+  // burst boundary on each worker, never mid-burst.
   void sweep_flows(netbase::SimTime cutoff);
 
   // Exact aggregate across all shards (uses gather(); waits for a burst

@@ -3,6 +3,10 @@
 // error generation, output queueing, and the BestEffortCore baseline.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <type_traits>
+
 #include "core/best_effort.hpp"
 #include "core/ip_core.hpp"
 #include "netbase/byteorder.hpp"
@@ -144,6 +148,34 @@ TEST_F(CoreTest, ResetCountersZeroesEveryFieldOnBothEntryPoints) {
   EXPECT_EQ(c.received, 3u);
   EXPECT_EQ(c.bursts, 2u);
   EXPECT_EQ(c.burst_packets, 3u);
+}
+
+// Per-stack counters are merged with +=; a field it forgot would silently
+// vanish from every router-wide view. Each 64-bit word gets a distinct value
+// so a skipped or misrouted field shows up as a wrong word.
+template <class Counters>
+void expect_plus_equals_sums_every_word() {
+  static_assert(sizeof(Counters) % sizeof(std::uint64_t) == 0);
+  constexpr std::size_t kWords = sizeof(Counters) / sizeof(std::uint64_t);
+  using Words = std::array<std::uint64_t, kWords>;
+  Words wa{}, wb{};
+  for (std::size_t i = 0; i < kWords; ++i) {
+    wa[i] = 1000 + i;
+    wb[i] = (i + 1) << 20;
+  }
+  auto a = std::bit_cast<Counters>(wa);
+  a += std::bit_cast<Counters>(wb);
+  const auto sum = std::bit_cast<Words>(a);
+  for (std::size_t i = 0; i < kWords; ++i)
+    EXPECT_EQ(sum[i], wa[i] + wb[i]) << "word " << i << " of " << kWords;
+}
+
+TEST(CoreCounters, PlusEqualsSumsEveryWord) {
+  expect_plus_equals_sums_every_word<CoreCounters>();
+}
+
+TEST(NicCounters, PlusEqualsSumsEveryWord) {
+  expect_plus_equals_sums_every_word<netdev::NicCounters>();
 }
 
 TEST_F(CoreTest, DropsOnNoRoute) {

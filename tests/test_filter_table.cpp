@@ -183,6 +183,15 @@ struct EquivParam {
   std::uint64_t seed;
 };
 
+// gtest prints the parameter into the ctest name. Its default byte dump
+// would carry the engine-name pointer and the struct padding, which change
+// from run to run, so spell the fields out instead.
+void PrintTo(const EquivParam& p, std::ostream* os) {
+  *os << '(' << p.engine << ", " << (p.collapse ? "collapse" : "no-collapse")
+      << ", " << (p.ver == netbase::IpVersion::v4 ? "v4" : "v6")
+      << ", seed=" << p.seed << ')';
+}
+
 class DagEquivalence : public ::testing::TestWithParam<EquivParam> {};
 
 TEST_P(DagEquivalence, MatchesLinearReference) {

@@ -625,7 +625,7 @@ TEST(ParallelMemQueue, PmgrShardIoSurface) {
   EXPECT_NE(r.text.find("queues=2"), std::string::npos) << r.text;
   EXPECT_NE(r.text.find("q1:"), std::string::npos) << r.text;
 
-  auto c = pmgr.exec("shard counters");
+  auto c = pmgr.exec("telemetry");
   ASSERT_TRUE(c.ok()) << c.text;
   EXPECT_NE(c.text.find("nics:"), std::string::npos) << c.text;
   EXPECT_FALSE(pmgr.exec("shard io extra").ok());

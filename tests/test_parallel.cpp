@@ -235,8 +235,9 @@ TEST(Parallel, StatusSnapshotsAreLockFreeAndMonotone) {
   EXPECT_EQ(total, 5000u);  // final snapshots published at join are exact
 }
 
-// The operator surface: pmgr's `shard` family aggregates per-worker state
-// on demand (exact via gather) or reads the lock-free snapshots (status).
+// The operator surface over the N-worker datapath: `telemetry` and
+// `resilience` merge per-worker state exactly (via gather) with the kernel's;
+// `shard status` reads the lock-free snapshots.
 TEST(Parallel, PmgrShardCommandsAggregateAcrossWorkers) {
   core::RouterKernel kernel;
   mgmt::RouterPluginLib lib(kernel);
@@ -264,28 +265,33 @@ TEST(Parallel, PmgrShardCommandsAggregateAcrossWorkers) {
   EXPECT_NE(st.text.find("submitted=4000"), std::string::npos) << st.text;
   EXPECT_NE(st.text.find("shard1:"), std::string::npos) << st.text;
 
-  auto cc = pmgr.exec("shard counters");
+  auto cc = pmgr.exec("telemetry");
   ASSERT_TRUE(cc.ok()) << cc.text;
   EXPECT_NE(cc.text.find("received=4000"), std::string::npos) << cc.text;
   EXPECT_NE(cc.text.find("forwarded=4000"), std::string::npos) << cc.text;
 
-  auto tel = pmgr.exec("shard telemetry");
+  auto tel = pmgr.exec("telemetry hist");
   ASSERT_TRUE(tel.ok()) << tel.text;
   // 1-in-4 sampling on each shard: the merged histogram has samples and the
   // summary line carries the cross-shard sum.
   EXPECT_NE(tel.text.find("pipeline: samples="), std::string::npos) << tel.text;
   EXPECT_EQ(tel.text.find("samples=0 "), std::string::npos) << tel.text;
+  EXPECT_EQ(cc.text.find("samples=0 "), std::string::npos) << cc.text;
 
-  auto res = pmgr.exec("shard resilience");
+  auto res = pmgr.exec("resilience");
   ASSERT_TRUE(res.ok()) << res.text;
   EXPECT_NE(res.text.find("faults: total=0"), std::string::npos) << res.text;
   EXPECT_NE(res.text.find("shard0:"), std::string::npos) << res.text;
 
-  ASSERT_TRUE(pmgr.exec("shard reset").ok());
-  auto cc2 = pmgr.exec("shard counters");
+  ASSERT_TRUE(pmgr.exec("telemetry reset").ok());
+  auto cc2 = pmgr.exec("telemetry");
   ASSERT_TRUE(cc2.ok()) << cc2.text;
   EXPECT_NE(cc2.text.find("received=0"), std::string::npos) << cc2.text;
 
+  // Above INT64_MAX the signed cutoff would wrap negative and sweep nothing.
+  auto wrap = pmgr.exec("shard sweep 18446744073709551615");
+  EXPECT_FALSE(wrap.ok()) << wrap.text;
+  EXPECT_EQ(wrap.text, "usage: shard sweep <ns>");
   auto sw = pmgr.exec("shard sweep 9223372036854775807");
   ASSERT_TRUE(sw.ok()) << sw.text;
   EXPECT_FALSE(pmgr.exec("shard bogus").ok());
@@ -293,6 +299,50 @@ TEST(Parallel, PmgrShardCommandsAggregateAcrossWorkers) {
   dp.stop();  // join publishes final exact snapshots
   for (const ShardSnapshot& s : dp.status_all())
     EXPECT_EQ(s.flows_active, 0u);
+}
+
+// Regression: with a datapath attached, pmgr's setters used to change only
+// the template kernel, which carries no traffic. Each must reach every
+// shard's stack (read back on the worker threads through gather).
+TEST(Parallel, PmgrSettersReachEveryShard) {
+  core::RouterKernel kernel;
+  mgmt::RouterPluginLib lib(kernel);
+  mgmt::PluginManager pmgr(lib);
+
+  ShardedDatapath::Options opt;
+  opt.workers = 2;
+  opt.ring_capacity = 64;
+  ShardedDatapath dp(opt);
+  pmgr.attach_sharded(&dp);
+
+  for (const char* cmd :
+       {"telemetry sample 4", "resilience fallback stats fail_closed",
+        "resilience budget cycles stats 5000", "sanitize off"}) {
+    auto r = pmgr.exec(cmd);
+    ASSERT_TRUE(r.ok()) << cmd << ": " << r.text;
+  }
+
+  struct Settings {
+    std::uint32_t sample_every;
+    resilience::Fallback fallback;
+    std::uint64_t cycle_budget;
+    bool sanitize;
+  };
+  std::vector<Settings> seen(dp.workers());
+  dp.gather([&seen](ShardContext& ctx) {
+    seen[ctx.id()] = {ctx.telemetry().sample_every(),
+                      ctx.resilience().fallback(plugin::PluginType::stats),
+                      ctx.resilience().cycle_budget(plugin::PluginType::stats),
+                      ctx.core().config().sanitize};
+  });
+  for (std::uint32_t i = 0; i < dp.workers(); ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    EXPECT_EQ(seen[i].sample_every, 4u);
+    EXPECT_EQ(seen[i].fallback, resilience::Fallback::fail_closed);
+    EXPECT_EQ(seen[i].cycle_budget, 5000u);
+    EXPECT_FALSE(seen[i].sanitize);
+  }
+  dp.stop();
 }
 
 // Regression (review): `pmgr l7 rules` mutations must reach the
