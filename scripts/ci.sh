@@ -67,8 +67,10 @@ if [[ "$fast" == "1" ]]; then
 fi
 
 echo "== tier 2: ASan + UBSan test build =="
+# _GLIBCXX_ASSERTIONS adds libstdc++'s container precondition checks
+# (operator[] bounds, front()/back()/pop_*() on an empty container).
 cmake -S "$repo" -B "$repo/build-asan" -DCMAKE_BUILD_TYPE=Debug \
-  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS"
 cmake --build "$repo/build-asan" -j "$jobs" --target rp_tests
 # Only rp_tests is built in the sanitizer tree; exclude the bench smokes
 # and the chaos/fuzz soaks (those get their own stages below).

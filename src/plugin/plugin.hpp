@@ -91,6 +91,11 @@ class PluginInstance {
 
   // Called by the AIU when a flow-table entry bound to this instance is
   // removed/recycled, so the instance can release its per-flow soft state.
+  // This is on the packet path: at the record cap every new flow recycles
+  // the LRU entry, and that recycle calls flow_removed. It must be O(1) in
+  // the number of flows the instance tracks: keep the state's own container
+  // position in it (and its owner, if state can move between instances)
+  // instead of searching for it (docs/plugin_authoring.md §4).
   virtual void flow_removed(void* flow_soft) { (void)flow_soft; }
 
   // Versioned-upgrade state handoff (docs/plugin_authoring.md §13): the AIU
@@ -101,7 +106,8 @@ class PluginInstance {
   // which `from` must no longer free or touch it. Returning false (the
   // default) declines: the AIU then has `from` release the state through
   // flow_removed and the flow restarts stateless under the new instance.
-  // Control path only, called between bursts.
+  // Control path only, called between bursts — but once per bound flow, all
+  // inside the upgrade stall, so it too must be O(1) in tracked flows (§13).
   virtual bool migrate_flow(PluginInstance* from, const pkt::FlowKey& key,
                             void** flow_soft) {
     (void)from;

@@ -9,7 +9,7 @@ using plugin::Verdict;
 
 PolicerInstance::~PolicerInstance() {
   for (auto& b : buckets_)
-    if (b->soft_slot) *b->soft_slot = nullptr;
+    if (b.soft_slot) *b.soft_slot = nullptr;
 }
 
 bool PolicerInstance::conforms(Bucket& b, std::size_t bytes,
@@ -34,12 +34,11 @@ bool PolicerInstance::conforms(Bucket& b, std::size_t bytes,
 PolicerInstance::Bucket* PolicerInstance::bucket_for(void** flow_soft) {
   if (!cfg_.per_flow || !flow_soft) return &shared_;
   if (*flow_soft) return static_cast<Bucket*>(*flow_soft);
-  auto owned = std::make_unique<Bucket>();
-  owned->soft_slot = flow_soft;
-  Bucket* b = owned.get();
-  buckets_.push_back(std::move(owned));
-  *flow_soft = b;
-  return b;
+  Bucket& b = buckets_.emplace_back();
+  b.soft_slot = flow_soft;
+  b.self = std::prev(buckets_.end());
+  *flow_soft = &b;
+  return &b;
 }
 
 void PolicerInstance::remark(pkt::Packet& p) const {
@@ -71,9 +70,7 @@ Verdict PolicerInstance::handle_packet(pkt::Packet& p, void** flow_soft) {
 }
 
 void PolicerInstance::flow_removed(void* flow_soft) {
-  auto* b = static_cast<Bucket*>(flow_soft);
-  if (!b) return;
-  buckets_.remove_if([b](const auto& up) { return up.get() == b; });
+  if (auto* b = static_cast<Bucket*>(flow_soft)) buckets_.erase(b->self);
 }
 
 Status PolicerInstance::handle_message(const plugin::PluginMsg& msg,

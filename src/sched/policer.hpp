@@ -50,6 +50,7 @@ class PolicerInstance final : public plugin::PluginInstance {
     netbase::SimTime last{0};
     bool primed{false};
     void** soft_slot{nullptr};
+    std::list<Bucket>::iterator self{};  // O(1) flow_removed
   };
 
   // Returns true if `bytes` conforms (and consumes the tokens).
@@ -59,7 +60,7 @@ class PolicerInstance final : public plugin::PluginInstance {
 
   Config cfg_;
   Bucket shared_{};
-  std::list<std::unique_ptr<Bucket>> buckets_;
+  std::list<Bucket> buckets_;
   std::uint64_t conformant_{0};
   std::uint64_t exceeded_{0};
 };

@@ -8,7 +8,7 @@ using netbase::Status;
 
 Wf2qInstance::~Wf2qInstance() {
   for (auto& q : queues_)
-    if (q->soft_slot) *q->soft_slot = nullptr;
+    if (q.soft_slot) *q.soft_slot = nullptr;
 }
 
 std::uint32_t Wf2qInstance::weight_for(const pkt::FlowKey& key) const {
@@ -24,16 +24,18 @@ Wf2qInstance::FlowQueue* Wf2qInstance::queue_for(const pkt::Packet& p,
     if (auto it = fallback_.find(p.key); it != fallback_.end())
       return it->second;
   }
-  auto q = std::make_unique<FlowQueue>();
-  q->weight = weight_for(p.key);
-  q->soft_slot = flow_soft;
-  FlowQueue* raw = q.get();
-  queues_.push_back(std::move(q));
-  if (flow_soft)
-    *flow_soft = raw;
-  else
-    fallback_[p.key] = raw;
-  return raw;
+  FlowQueue& q = queues_.emplace_back();
+  q.weight = weight_for(p.key);
+  q.soft_slot = flow_soft;
+  q.key = p.key;
+  q.self = std::prev(queues_.end());
+  if (flow_soft) {
+    *flow_soft = &q;
+  } else {
+    q.in_fallback = true;
+    fallback_[p.key] = &q;
+  }
+  return &q;
 }
 
 void Wf2qInstance::stamp_head(FlowQueue& q) {
@@ -119,8 +121,8 @@ void Wf2qInstance::destroy(FlowQueue* q) {
     active_weight_ -= q->weight;
     std::erase(active_, q);
   }
-  std::erase_if(fallback_, [q](const auto& kv) { return kv.second == q; });
-  queues_.remove_if([q](const auto& up) { return up.get() == q; });
+  if (q->in_fallback) fallback_.erase(q->key);
+  queues_.erase(q->self);
 }
 
 Status Wf2qInstance::handle_message(const plugin::PluginMsg& msg,

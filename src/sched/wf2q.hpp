@@ -60,7 +60,10 @@ class Wf2qInstance final : public core::OutputScheduler {
     double last_finish{0};
     bool active{false};
     bool orphaned{false};
+    bool in_fallback{false};  // self-classified (keyed in fallback_)
     void** soft_slot{nullptr};
+    pkt::FlowKey key{};
+    std::list<FlowQueue>::iterator self{};  // O(1) destroy
   };
 
   struct KeyHash {
@@ -75,7 +78,7 @@ class Wf2qInstance final : public core::OutputScheduler {
   void destroy(FlowQueue* q);
 
   Config cfg_;
-  std::list<std::unique_ptr<FlowQueue>> queues_;
+  std::list<FlowQueue> queues_;
   std::vector<FlowQueue*> active_;
   std::unordered_map<pkt::FlowKey, FlowQueue*, KeyHash> fallback_;
   std::vector<std::pair<aiu::Filter, std::uint32_t>> weight_rules_;

@@ -21,19 +21,19 @@ StatsInstance::StatsInstance(Mode mode) : mode_(mode) {
 StatsInstance::~StatsInstance() {
   telemetry::metrics().remove_owner(this);
   for (auto& f : flows_)
-    if (f->soft_slot) *f->soft_slot = nullptr;
+    if (f.soft_slot) *f.soft_slot = nullptr;
 }
 
 StatsInstance::FlowCounter* StatsInstance::counter_for(const pkt::Packet& p,
                                                        void** flow_soft) {
   if (flow_soft && *flow_soft) return static_cast<FlowCounter*>(*flow_soft);
-  auto owned = std::make_unique<FlowCounter>();
-  owned->key = p.key;
-  owned->soft_slot = flow_soft;
-  FlowCounter* fc = owned.get();
-  flows_.push_back(std::move(owned));
-  if (flow_soft) *flow_soft = fc;
-  return fc;
+  FlowCounter& fc = flows_.emplace_back();
+  fc.key = p.key;
+  fc.soft_slot = flow_soft;
+  fc.owner = this;
+  fc.self = std::prev(flows_.end());
+  if (flow_soft) *flow_soft = &fc;
+  return &fc;
 }
 
 void StatsInstance::count(FlowCounter& fc, const pkt::Packet& p) {
@@ -80,26 +80,24 @@ bool StatsInstance::migrate_flow(plugin::PluginInstance* from,
   auto* prev = dynamic_cast<StatsInstance*>(from);
   if (!prev || !flow_soft || !*flow_soft) return false;
   auto* fc = static_cast<FlowCounter*>(*flow_soft);
-  for (auto it = prev->flows_.begin(); it != prev->flows_.end(); ++it) {
-    if (it->get() != fc) continue;
-    // Steal the counter wholesale: per-flow history survives the upgrade,
-    // and the aggregate totals it contributed move with it.
-    flows_.push_back(std::move(*it));
-    prev->flows_.erase(it);
-    total_packets_.fetch_add(fc->packets, std::memory_order_relaxed);
-    total_bytes_.fetch_add(fc->bytes, std::memory_order_relaxed);
-    prev->total_packets_.fetch_sub(fc->packets, std::memory_order_relaxed);
-    prev->total_bytes_.fetch_sub(fc->bytes, std::memory_order_relaxed);
-    return true;
-  }
-  return false;  // not a counter this plugin family owns
+  if (fc->owner != prev) return false;  // not a counter `from` owns
+  // Steal the counter wholesale: per-flow history survives the upgrade,
+  // and the aggregate totals it contributed move with it. The splice
+  // relinks the node, so the counter keeps its address and the flow's
+  // soft slot stays as it is.
+  flows_.splice(flows_.end(), prev->flows_, fc->self);
+  fc->owner = this;
+  total_packets_.fetch_add(fc->packets, std::memory_order_relaxed);
+  total_bytes_.fetch_add(fc->bytes, std::memory_order_relaxed);
+  prev->total_packets_.fetch_sub(fc->packets, std::memory_order_relaxed);
+  prev->total_bytes_.fetch_sub(fc->bytes, std::memory_order_relaxed);
+  return true;
 }
 
 void StatsInstance::flow_removed(void* flow_soft) {
   auto* fc = static_cast<FlowCounter*>(flow_soft);
-  if (!fc) return;
   // Keep counting totals; the per-flow record dies with the flow entry.
-  flows_.remove_if([fc](const auto& up) { return up.get() == fc; });
+  if (fc && fc->owner == this) flows_.erase(fc->self);
 }
 
 Status StatsInstance::handle_message(const plugin::PluginMsg& msg,
@@ -109,8 +107,8 @@ Status StatsInstance::handle_message(const plugin::PluginMsg& msg,
                  " total_bytes=" + std::to_string(total_bytes_) +
                  " flows=" + std::to_string(flows_.size()) + "\n";
     for (const auto& f : flows_) {
-      reply.text += f->key.to_string() + " pkts=" + std::to_string(f->packets) +
-                    " bytes=" + std::to_string(f->bytes) + "\n";
+      reply.text += f.key.to_string() + " pkts=" + std::to_string(f.packets) +
+                    " bytes=" + std::to_string(f.bytes) + "\n";
     }
     return Status::ok;
   }
@@ -125,8 +123,8 @@ Status StatsInstance::handle_message(const plugin::PluginMsg& msg,
   if (msg.custom_name == "reset") {
     total_packets_ = total_bytes_ = 0;
     for (auto& f : flows_) {
-      f->packets = f->bytes = 0;
-      for (auto& h : f->size_hist) h = 0;
+      f.packets = f.bytes = 0;
+      for (auto& h : f.size_hist) h = 0;
     }
     return Status::ok;
   }

@@ -5,7 +5,10 @@
 //
 // Per-flow counters live in the flow table's soft-state slot (so the data
 // path cost is one pointer chase and two increments); aggregate counters and
-// a per-flow report are available via the `report` message. The counting
+// a per-flow report are available via the `report` message. Each counter
+// carries its owning instance and its own list position, so releasing it
+// (flow_removed) and adopting it on upgrade (migrate_flow) are O(1) in the
+// number of tracked flows (docs/plugin_authoring.md §4). The counting
 // mode can be changed at run time with `setmode` (packets|bytes|sizes),
 // demonstrating run-time reconfiguration of monitoring.
 #pragma once
@@ -48,6 +51,10 @@ class StatsInstance final : public plugin::PluginInstance {
     // size histogram buckets: <=64, <=256, <=1024, <=4096, larger
     std::uint64_t size_hist[5]{};
     void** soft_slot{nullptr};
+    // The instance whose flows_ holds this counter, and its position there:
+    // removal is an owner check plus one erase, migration one splice.
+    StatsInstance* owner{nullptr};
+    std::list<FlowCounter>::iterator self{};
   };
 
   std::uint64_t total_packets() const noexcept { return total_packets_; }
@@ -59,7 +66,7 @@ class StatsInstance final : public plugin::PluginInstance {
   void count(FlowCounter& fc, const pkt::Packet& p);
 
   Mode mode_;
-  std::list<std::unique_ptr<FlowCounter>> flows_;
+  std::list<FlowCounter> flows_;  // insertion order, migrated ones appended
   // Atomic (relaxed): registered with telemetry::metrics(), whose report()
   // may run on the control thread while this instance counts on a worker.
   std::atomic<std::uint64_t> total_packets_{0};

@@ -9,19 +9,18 @@ using plugin::Verdict;
 
 TcpMonInstance::~TcpMonInstance() {
   for (auto& f : flows_)
-    if (f->soft_slot) *f->soft_slot = nullptr;
+    if (f.soft_slot) *f.soft_slot = nullptr;
 }
 
 TcpMonInstance::FlowState* TcpMonInstance::state_for(const pkt::Packet& p,
                                                      void** flow_soft) {
   if (flow_soft && *flow_soft) return static_cast<FlowState*>(*flow_soft);
-  auto owned = std::make_unique<FlowState>();
-  owned->key = p.key;
-  owned->soft_slot = flow_soft;
-  FlowState* fs = owned.get();
-  flows_.push_back(std::move(owned));
-  if (flow_soft) *flow_soft = fs;
-  return fs;
+  FlowState& fs = flows_.emplace_back();
+  fs.key = p.key;
+  fs.soft_slot = flow_soft;
+  fs.self = std::prev(flows_.end());
+  if (flow_soft) *flow_soft = &fs;
+  return &fs;
 }
 
 Verdict TcpMonInstance::handle_packet(pkt::Packet& p, void** flow_soft) {
@@ -71,9 +70,7 @@ Verdict TcpMonInstance::handle_packet(pkt::Packet& p, void** flow_soft) {
 }
 
 void TcpMonInstance::flow_removed(void* flow_soft) {
-  auto* fs = static_cast<FlowState*>(flow_soft);
-  if (!fs) return;
-  flows_.remove_if([fs](const auto& up) { return up.get() == fs; });
+  if (auto* fs = static_cast<FlowState*>(flow_soft)) flows_.erase(fs->self);
 }
 
 Status TcpMonInstance::handle_message(const plugin::PluginMsg& msg,
@@ -83,11 +80,11 @@ Status TcpMonInstance::handle_message(const plugin::PluginMsg& msg,
                  " retransmits=" + std::to_string(retransmits_) +
                  " backoff_events=" + std::to_string(backoffs_) + "\n";
     for (const auto& f : flows_) {
-      if (f->retransmits == 0) continue;  // report congestion-limited flows
-      reply.text += f->key.to_string() +
-                    " segs=" + std::to_string(f->segments) +
-                    " rexmt=" + std::to_string(f->retransmits) +
-                    " backoffs=" + std::to_string(f->backoff_events) + "\n";
+      if (f.retransmits == 0) continue;  // report congestion-limited flows
+      reply.text += f.key.to_string() +
+                    " segs=" + std::to_string(f.segments) +
+                    " rexmt=" + std::to_string(f.retransmits) +
+                    " backoffs=" + std::to_string(f.backoff_events) + "\n";
     }
     return Status::ok;
   }

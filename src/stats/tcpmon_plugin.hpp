@@ -34,6 +34,7 @@ class TcpMonInstance final : public plugin::PluginInstance {
     std::uint64_t retransmits{0};
     std::uint64_t backoff_events{0};
     void** soft_slot{nullptr};
+    std::list<FlowState>::iterator self{};  // O(1) flow_removed
   };
 
   ~TcpMonInstance() override;
@@ -50,7 +51,7 @@ class TcpMonInstance final : public plugin::PluginInstance {
  private:
   FlowState* state_for(const pkt::Packet& p, void** flow_soft);
 
-  std::list<std::unique_ptr<FlowState>> flows_;
+  std::list<FlowState> flows_;
   std::uint64_t segments_{0};
   std::uint64_t retransmits_{0};
   std::uint64_t backoffs_{0};

@@ -3,6 +3,11 @@
 // congestion-backoff monitoring plugin.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+#include <vector>
+
 #include "core/router.hpp"
 #include "mgmt/register_all.hpp"
 #include "mgmt/rplib.hpp"
@@ -217,6 +222,41 @@ TEST(TcpMon, IgnoresNonTcpAndSeparatesFlows) {
   mon.handle_packet(*p, &soft);
   EXPECT_EQ(mon.tracked_flows(), 1u);
   mon.flow_removed(soft);
+  EXPECT_EQ(mon.tracked_flows(), 0u);
+
+  // Many retransmitting flows, half released in a seeded random order: the
+  // report lists exactly the survivors, in insertion order.
+  constexpr std::size_t kFlows = 32;
+  std::vector<void*> softs(kFlows, nullptr);
+  std::vector<pkt::FlowKey> keys;
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    for (SimTime t : {SimTime{1}, SimTime{2}}) {  // second copy: a rexmt
+      auto seg = tcp_seg(0, 100, t);
+      seg->key.sport = static_cast<std::uint16_t>(1000 + i);
+      mon.handle_packet(*seg, &softs[i]);
+      if (t == 1) keys.push_back(seg->key);
+    }
+  }
+  std::vector<std::size_t> order(kFlows);
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(order.begin(), order.end(), std::mt19937(14));
+  std::vector<bool> alive(kFlows, true);
+  for (std::size_t n = 0; n < kFlows / 2; ++n) {
+    mon.flow_removed(softs[order[n]]);
+    alive[order[n]] = false;
+  }
+  EXPECT_EQ(mon.tracked_flows(), kFlows / 2);
+  std::string expected;
+  for (std::size_t i = 0; i < kFlows; ++i)
+    if (alive[i]) expected += keys[i].to_string() + " segs=2 rexmt=1 backoffs=0\n";
+  plugin::PluginMsg msg;
+  msg.custom_name = "report";
+  plugin::PluginReply reply;
+  ASSERT_EQ(mon.handle_message(msg, reply), netbase::Status::ok);
+  EXPECT_EQ(reply.text.substr(reply.text.find('\n') + 1), expected);
+  // Release the rest: their states point back into `softs`.
+  for (std::size_t n = kFlows / 2; n < kFlows; ++n)
+    mon.flow_removed(softs[order[n]]);
   EXPECT_EQ(mon.tracked_flows(), 0u);
 }
 

@@ -2,6 +2,12 @@
 // routing table / L4-switching route plugin.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+#include <vector>
+
+#include "aiu/aiu.hpp"
 #include "aiu/flow_table.hpp"
 #include "pkt/builder.hpp"
 #include "route/route_plugin.hpp"
@@ -87,6 +93,14 @@ TEST(StatsPlugin, RuntimeModeChangeAndReport) {
   EXPECT_EQ(inst.handle_message(setmode, reply), Status::invalid_argument);
 }
 
+std::string report_of(stats::StatsInstance& inst) {
+  plugin::PluginMsg report;
+  report.custom_name = "report";
+  plugin::PluginReply reply;
+  EXPECT_EQ(inst.handle_message(report, reply), Status::ok);
+  return reply.text;
+}
+
 TEST(StatsPlugin, ReportListsEveryTrackedFlow) {
   stats::StatsInstance inst(stats::StatsInstance::Mode::bytes);
   void* soft_a = nullptr;
@@ -103,6 +117,35 @@ TEST(StatsPlugin, ReportListsEveryTrackedFlow) {
   EXPECT_NE(reply.text.find("flows=2"), std::string::npos);
   EXPECT_NE(reply.text.find(pa->key.to_string()), std::string::npos);
   EXPECT_NE(reply.text.find(pb->key.to_string()), std::string::npos);
+
+  // More flows, released in a seeded random order: the report lists
+  // exactly the survivors, in insertion order.
+  constexpr std::size_t kFlows = 64;
+  std::vector<void*> softs(kFlows, nullptr);
+  std::vector<pkt::FlowKey> keys;
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    auto p = udp(static_cast<std::uint16_t>(1000 + i));
+    inst.handle_packet(*p, &softs[i]);
+    keys.push_back(p->key);
+  }
+  std::vector<std::size_t> order(kFlows);
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(order.begin(), order.end(), std::mt19937(14));
+  std::vector<bool> alive(kFlows, true);
+  const std::string line_tail = " pkts=1 bytes=" + std::to_string(pa->size());
+  for (std::size_t n = 0; n < kFlows; ++n) {
+    inst.flow_removed(softs[order[n]]);
+    alive[order[n]] = false;
+    if (n % 16 != 15 && n != 0) continue;
+    std::string expected = pa->key.to_string() + line_tail + "\n" +
+                           pb->key.to_string() + line_tail + "\n";
+    for (std::size_t i = 0; i < kFlows; ++i)
+      if (alive[i]) expected += keys[i].to_string() + line_tail + "\n";
+    const std::string text = report_of(inst);
+    EXPECT_EQ(text.substr(text.find('\n') + 1), expected)
+        << "after " << n + 1 << " removals";
+  }
+  EXPECT_EQ(inst.tracked_flows(), 2u);
 }
 
 TEST(StatsPlugin, UnknownMessageIsUnsupported) {
@@ -155,6 +198,161 @@ TEST(StatsPlugin, FlowTableRemovalCleansSoftState) {
   table.remove(fix);  // must call inst.flow_removed(b.soft)
   EXPECT_EQ(inst.tracked_flows(), 0u);
   EXPECT_EQ(inst.total_packets(), 1u);  // totals survive the flow
+}
+
+// Each instance releases and adopts only the counters it owns: handed
+// another instance's counter, flow_removed and migrate_flow do nothing.
+TEST(StatsPlugin, FlowRemovedIgnoresAnotherInstancesCounter) {
+  stats::StatsInstance a(stats::StatsInstance::Mode::bytes);
+  stats::StatsInstance b(stats::StatsInstance::Mode::bytes);
+  void* soft_a = nullptr;
+  void* soft_b = nullptr;
+  auto pa = udp(1);
+  auto pb = udp(2, 200);
+  a.handle_packet(*pa, &soft_a);
+  b.handle_packet(*pb, &soft_b);
+
+  a.flow_removed(soft_b);
+  b.flow_removed(soft_a);
+  EXPECT_EQ(a.tracked_flows(), 1u);
+  EXPECT_EQ(b.tracked_flows(), 1u);
+  EXPECT_EQ(a.total_packets(), 1u);
+  EXPECT_EQ(a.total_bytes(), pa->size());
+  EXPECT_EQ(b.total_packets(), 1u);
+  EXPECT_EQ(b.total_bytes(), pb->size());
+  EXPECT_NE(report_of(a).find(pa->key.to_string()), std::string::npos);
+  EXPECT_NE(report_of(b).find(pb->key.to_string()), std::string::npos);
+
+  // The owner still releases its own.
+  b.flow_removed(soft_b);
+  EXPECT_EQ(b.tracked_flows(), 0u);
+  EXPECT_EQ(a.tracked_flows(), 1u);
+}
+
+TEST(StatsPlugin, MigrateFlowDeclinesACounterFromDoesNotOwn) {
+  stats::StatsInstance a(stats::StatsInstance::Mode::bytes);
+  stats::StatsInstance b(stats::StatsInstance::Mode::bytes);
+  stats::StatsInstance c(stats::StatsInstance::Mode::bytes);
+  void* soft_a = nullptr;
+  void* soft_b = nullptr;
+  void* soft_c = nullptr;
+  auto pa = udp(1);
+  auto pb = udp(2);
+  auto pc = udp(3, 300);
+  a.handle_packet(*pa, &soft_a);
+  b.handle_packet(*pb, &soft_b);
+  c.handle_packet(*pc, &soft_c);
+  c.handle_packet(*pc, &soft_c);
+  void* const c_counter = soft_c;
+  const std::string c_report = report_of(c);
+
+  EXPECT_FALSE(b.migrate_flow(&a, pc->key, &soft_c));
+  EXPECT_EQ(soft_c, c_counter);
+  EXPECT_EQ(c.tracked_flows(), 1u);
+  EXPECT_EQ(c.total_packets(), 2u);
+  EXPECT_EQ(c.total_bytes(), 2 * pc->size());
+  EXPECT_EQ(report_of(c), c_report);
+  EXPECT_EQ(a.tracked_flows(), 1u);
+  EXPECT_EQ(a.total_packets(), 1u);
+  EXPECT_EQ(b.tracked_flows(), 1u);
+  EXPECT_EQ(b.total_packets(), 1u);
+
+  // From the real owner the counter moves: same object, appended after
+  // b's own flow in the report, totals carried along.
+  EXPECT_TRUE(b.migrate_flow(&c, pc->key, &soft_c));
+  EXPECT_EQ(soft_c, c_counter);
+  EXPECT_EQ(static_cast<stats::StatsInstance::FlowCounter*>(soft_c)->packets,
+            2u);
+  EXPECT_EQ(c.tracked_flows(), 0u);
+  EXPECT_EQ(c.total_packets(), 0u);
+  EXPECT_EQ(c.total_bytes(), 0u);
+  EXPECT_EQ(b.tracked_flows(), 2u);
+  EXPECT_EQ(b.total_packets(), 3u);
+  EXPECT_EQ(b.total_bytes(), pb->size() + 2 * pc->size());
+  const std::string rb = report_of(b);
+  EXPECT_LT(rb.find(pb->key.to_string()), rb.find(pc->key.to_string()));
+
+  c.flow_removed(soft_c);  // no longer c's
+  EXPECT_EQ(b.tracked_flows(), 2u);
+  b.flow_removed(soft_c);
+  EXPECT_EQ(b.tracked_flows(), 1u);
+  EXPECT_EQ(b.total_packets(), 3u);
+}
+
+// Complexity guard for the per-flow lifecycle at the flow-record cap. Every
+// LRU recycle calls flow_removed and every upgrade calls migrate_flow once
+// per bound flow, so both must be O(1) in the instance's tracked flows. With
+// a search of the counter list in either call, this test does ~10^10 list
+// steps and overruns its ctest timeout; it asserts no wall-clock figure.
+TEST(StatsPlugin, RecycleAndHandoffAtFlowCapStayLinear) {
+  constexpr std::size_t kCap = 65536;
+  constexpr std::size_t kRecycles = 100000;
+  stats::StatsInstance a(stats::StatsInstance::Mode::bytes);
+  stats::StatsInstance b(stats::StatsInstance::Mode::bytes);
+  netbase::SimClock clock;
+  plugin::PluginControlUnit pcu;
+  aiu::Aiu::Options opt;
+  opt.initial_flows = kCap;
+  opt.max_flows = kCap;
+  aiu::Aiu aiu(pcu, clock, opt);
+  aiu::FlowTable& table = aiu.flow_table();
+  const std::size_t gi = aiu::gate_index(plugin::PluginType::stats);
+
+  auto p = udp(1);
+  std::uint32_t next_flow = 0;
+  auto insert_bound = [&]() -> aiu::GateBinding& {
+    p->key.sport = static_cast<std::uint16_t>(next_flow);
+    p->key.dport = static_cast<std::uint16_t>(next_flow >> 16);
+    ++next_flow;
+    aiu::GateBinding& g = table.rec(table.insert(p->key, 0)).gates[gi];
+    g.instance = &a;
+    return g;
+  };
+
+  // Phase 1: fill the table, then recycle kRecycles LRU entries; each
+  // recycle hands a's counter back through flow_removed.
+  for (std::size_t i = 0; i < kCap + kRecycles; ++i) {
+    aiu::GateBinding& g = insert_bound();
+    a.handle_packet(*p, &g.soft);
+  }
+  EXPECT_EQ(table.stats().recycled, kRecycles);
+  ASSERT_EQ(table.active(), kCap);
+  EXPECT_EQ(a.tracked_flows(), kCap);
+  EXPECT_EQ(a.total_packets(), kCap + kRecycles);
+
+  // Phase 2: fresh flows whose counters are created in the reverse of
+  // flow-table index order. The handoff visits flows by ascending index, so
+  // a front-to-back search would walk the whole list for every flow.
+  table.clear();
+  ASSERT_EQ(a.tracked_flows(), 0u);
+  for (std::size_t i = 0; i < kCap; ++i) insert_bound();
+  ASSERT_EQ(table.active(), kCap);
+  for (std::size_t fix = kCap; fix-- > 0;) {
+    aiu::FlowRecord& r = table.rec(static_cast<pkt::FlowIndex>(fix));
+    p->key = r.key;
+    a.handle_packet(*p, &r.gates[gi].soft);
+  }
+  const std::uint64_t packets = a.total_packets();
+  const std::uint64_t bytes = a.total_bytes();
+  EXPECT_EQ(packets, 2 * kCap + kRecycles);
+
+  auto h = aiu.handoff_instance(&a, &b);
+  EXPECT_EQ(h.state_migrated, kCap);
+  EXPECT_EQ(h.state_dropped, 0u);
+  EXPECT_EQ(a.total_packets() + b.total_packets(), packets);
+  EXPECT_EQ(a.total_bytes() + b.total_bytes(), bytes);
+  EXPECT_EQ(b.total_packets(), kCap);
+  EXPECT_EQ(b.tracked_flows(), table.active());
+  EXPECT_EQ(a.tracked_flows(), 0u);
+
+  h = aiu.handoff_instance(&b, &a);
+  EXPECT_EQ(h.state_migrated, kCap);
+  EXPECT_EQ(a.total_packets(), packets);
+  EXPECT_EQ(a.total_bytes(), bytes);
+  EXPECT_EQ(b.total_packets(), 0u);
+  EXPECT_EQ(b.total_bytes(), 0u);
+  EXPECT_EQ(a.tracked_flows(), table.active());
+  EXPECT_EQ(b.tracked_flows(), 0u);
 }
 
 TEST(StatsPlugin, RegistersAggregateCountersWithTelemetry) {

@@ -4,7 +4,11 @@
 // shared buckets, end-to-end at the congestion gate).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <numeric>
+#include <random>
+#include <vector>
 
 #include "core/router.hpp"
 #include "mgmt/pmgr.hpp"
@@ -106,6 +110,35 @@ TEST(Wf2q, PerFlowLimitAndOrphanDrain) {
   while (w.dequeue(0)) {
   }
   EXPECT_EQ(w.queue_count(), 0u);
+
+  // Many backlogged flows, half released in a seeded random order: the
+  // released queues drain and go, the survivors keep their queues.
+  constexpr std::size_t kFlows = 32;
+  std::vector<void*> softs(kFlows, nullptr);
+  for (std::size_t i = 0; i < kFlows; ++i)
+    w.enqueue(flow_pkt(static_cast<std::uint16_t>(100 + i)), &softs[i], 0);
+  std::vector<std::size_t> order(kFlows);
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(order.begin(), order.end(), std::mt19937(14));
+  for (std::size_t n = 0; n < kFlows / 2; ++n) w.flow_removed(softs[order[n]]);
+  EXPECT_EQ(w.queue_count(), kFlows);  // orphans drain first
+  std::size_t served = 0;
+  while (w.dequeue(0)) ++served;
+  EXPECT_EQ(served, kFlows);
+  EXPECT_EQ(w.queue_count(), kFlows / 2);
+  for (std::size_t n = kFlows / 2; n < kFlows; ++n) {
+    const std::size_t i = order[n];
+    void* const q = softs[i];
+    w.enqueue(flow_pkt(static_cast<std::uint16_t>(100 + i)), &softs[i], 0);
+    EXPECT_EQ(softs[i], q);  // the survivor's own queue
+  }
+  EXPECT_EQ(w.queue_count(), kFlows / 2);
+  EXPECT_EQ(w.backlog_packets(), kFlows / 2);
+  for (std::size_t n = kFlows / 2; n < kFlows; ++n) w.flow_removed(softs[order[n]]);
+  while (w.dequeue(0)) {
+  }
+  EXPECT_EQ(w.queue_count(), 0u);
+  EXPECT_EQ(w.backlog_bytes(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -180,6 +213,31 @@ TEST(Policer, PerFlowBucketsIsolateFlows) {
   plugin::PluginReply reply;
   ASSERT_EQ(pol.handle_message(msg, reply), Status::ok);
   EXPECT_NE(reply.text.find("buckets=1"), std::string::npos);
+
+  // Many exhausted buckets, half released in a seeded random order: the
+  // survivors keep their (still empty) buckets.
+  constexpr std::size_t kFlows = 32;
+  std::vector<void*> softs(kFlows, nullptr);
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    auto p = flow_pkt(static_cast<std::uint16_t>(100 + i), 472);
+    EXPECT_EQ(pol.handle_packet(*p, &softs[i]), Verdict::cont);
+  }
+  std::vector<std::size_t> order(kFlows);
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(order.begin(), order.end(), std::mt19937(14));
+  for (std::size_t n = 0; n < kFlows / 2; ++n) pol.flow_removed(softs[order[n]]);
+  ASSERT_EQ(pol.handle_message(msg, reply), Status::ok);
+  EXPECT_NE(reply.text.find("buckets=" + std::to_string(1 + kFlows / 2)),
+            std::string::npos)
+      << reply.text;
+  for (std::size_t n = kFlows / 2; n < kFlows; ++n) {
+    const std::size_t i = order[n];
+    auto p = flow_pkt(static_cast<std::uint16_t>(100 + i), 472);
+    EXPECT_EQ(pol.handle_packet(*p, &softs[i]), Verdict::drop) << i;
+    pol.flow_removed(softs[i]);  // its bucket points back into `softs`
+  }
+  ASSERT_EQ(pol.handle_message(msg, reply), Status::ok);
+  EXPECT_NE(reply.text.find("buckets=1"), std::string::npos) << reply.text;
 }
 
 TEST(Policer, EndToEndAtCongestionGate) {
