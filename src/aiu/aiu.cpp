@@ -183,8 +183,10 @@ Aiu::FilterBatchResult Aiu::apply_filter_batch(std::span<const FilterOp> ops) {
     }
   }
 
-  // Phase 4: patch the touched tables now, on the control path, so the next
-  // packet's lookup finds them clean (no from-scratch rebuild, no stall).
+  // Phase 4: patch the touched tables now, on the control path (no
+  // from-scratch rebuild). Not stall-free yet: each newly built DAG node's
+  // bsl engine is built on its first lookup, so the next packet pays for
+  // those builds (ROADMAP.md, first open item).
   for (std::size_t gi = 0; gi < kNumGates; ++gi)
     if (touched[gi] && tables_[gi]) tables_[gi]->patch();
   return res;

@@ -77,7 +77,10 @@ class FilterTableBase {
   // Applies pending mutations by patching the existing structure in place
   // where the implementation supports it (DAG subgraph reuse); the default
   // falls back to prepare(). Control-plane batches call this at burst
-  // boundaries so the packet path never pays a from-scratch build.
+  // boundaries so the packet path never pays a from-scratch build. The DAG
+  // does not prepare its new nodes' BMP engines, though: a bsl engine is
+  // built on its first lookup, on the packet path (ROADMAP.md, first open
+  // item).
   virtual void patch() const { prepare(); }
 };
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -45,11 +44,18 @@ class LpmEngine {
   // Longest matching prefix for `key`; false if none matches.
   virtual bool lookup(U128 key, LpmMatch& out) const = 0;
 
+  // Exact match: the value stored for (key, plen), host bits of `key`
+  // ignored; false if that prefix is absent. Answered from the engine's
+  // own prefix store, so callers keep no second copy of the prefix set.
+  virtual bool find(U128 key, std::uint8_t plen, LpmValue& out) const = 0;
+
   // Force any deferred (lazy) rebuild now, on the control path, so the
   // next lookup pays nothing. Engines with incremental mutation keep the
   // default no-op; engines that rebuild lazily on the first dirty lookup
-  // (bsl) override it so batched control-plane updates never stall the
-  // packet path.
+  // (bsl) override it. RoutingTable::apply_batch calls it; the DAG
+  // classifier's build and patch do not yet, so a newly built DAG node's
+  // bsl engine still rebuilds on its first packet lookup (ROADMAP.md, first
+  // open item).
   virtual void prepare() {}
 
   virtual std::string_view name() const = 0;
@@ -62,8 +68,5 @@ class LpmEngine {
 // unknown name. `width` is 32 or 128.
 std::unique_ptr<LpmEngine> make_lpm_engine(std::string_view name,
                                            unsigned width);
-
-// Shared raw prefix store used by engines that rebuild on remove.
-using PrefixMap = std::map<std::pair<U128, std::uint8_t>, LpmValue>;
 
 }  // namespace rp::bmp

@@ -95,26 +95,63 @@ Status PatriciaTrie::insert(U128 key, std::uint8_t plen, LpmValue value) {
   }
 }
 
-Status PatriciaTrie::remove(U128 key, std::uint8_t plen) {
-  if (plen > width_ || nodes_.empty()) return Status::not_found;
-  key = key & U128::prefix_mask(plen);
+std::int32_t PatriciaTrie::descend(const U128& key, unsigned plen,
+                                   Hop (&up)[2]) const {
+  if (plen > width_ || nodes_.empty()) return kNil;
   std::int32_t cur = 0;
   unsigned depth = 0;
-  while (true) {
-    if (depth == plen) {
-      if (!nodes_[cur].has_value) return Status::not_found;
-      nodes_[cur].has_value = false;
-      --count_;
-      return Status::ok;
-    }
-    std::int32_t child = nodes_[cur].child[key.bit(depth) ? 1 : 0];
-    if (child == kNil) return Status::not_found;
+  while (depth != plen) {
+    const unsigned bit = key.bit(depth) ? 1 : 0;
+    const std::int32_t child = nodes_[cur].child[bit];
+    if (child == kNil) return kNil;
     const Node& c = nodes_[child];
-    if (depth + c.seg_len > plen) return Status::not_found;
-    if (slice(key, depth, c.seg_len) != c.seg) return Status::not_found;
+    if (depth + c.seg_len > plen) return kNil;
+    if (slice(key, depth, c.seg_len) != c.seg) return kNil;
     depth += c.seg_len;
+    up[1] = up[0];
+    up[0] = {cur, bit};
     cur = child;
   }
+  return cur;
+}
+
+void PatriciaTrie::merge_into_child(Hop from_parent, std::int32_t n) {
+  const Node& m = nodes_[n];
+  const std::int32_t c = m.child[0] != kNil ? m.child[0] : m.child[1];
+  nodes_[c].seg = m.seg | (nodes_[c].seg >> m.seg_len);
+  nodes_[c].seg_len = static_cast<std::uint8_t>(m.seg_len + nodes_[c].seg_len);
+  nodes_[from_parent.node].child[from_parent.bit] = c;
+  free_.push_back(n);
+}
+
+Status PatriciaTrie::remove(U128 key, std::uint8_t plen) {
+  key = key & U128::prefix_mask(plen);
+  Hop up[2];
+  const std::int32_t cur = descend(key, plen, up);
+  if (cur == kNil || !nodes_[cur].has_value) return Status::not_found;
+  nodes_[cur].has_value = false;
+  --count_;
+  if (cur == 0) return Status::ok;  // the root stays
+
+  // Every non-root node holds a value or two children; restore that.
+  const Node& n = nodes_[cur];
+  const int kids = (n.child[0] != kNil) + (n.child[1] != kNil);
+  if (kids == 1) merge_into_child(up[0], cur);
+  if (kids != 0) return Status::ok;
+  nodes_[up[0].node].child[up[0].bit] = kNil;  // a leaf: unlink it
+  free_.push_back(cur);
+  // A valueless non-root parent had two children and is left with one.
+  if (up[0].node != 0 && !nodes_[up[0].node].has_value)
+    merge_into_child(up[1], up[0].node);
+  return Status::ok;
+}
+
+bool PatriciaTrie::find(U128 key, std::uint8_t plen, LpmValue& out) const {
+  Hop up[2];
+  const std::int32_t n = descend(key & U128::prefix_mask(plen), plen, up);
+  if (n == kNil || !nodes_[n].has_value) return false;
+  out = nodes_[n].value;
+  return true;
 }
 
 bool PatriciaTrie::lookup(U128 key, LpmMatch& out) const {

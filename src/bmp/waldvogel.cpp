@@ -22,6 +22,13 @@ Status WaldvogelBsl::remove(U128 key, std::uint8_t plen) {
   return Status::ok;
 }
 
+bool WaldvogelBsl::find(U128 key, std::uint8_t plen, LpmValue& out) const {
+  auto it = raw_.find({key & U128::prefix_mask(plen), plen});
+  if (it == raw_.end()) return false;
+  out = it->second;
+  return true;
+}
+
 void WaldvogelBsl::rebuild() const {
   lengths_.clear();
   tables_.clear();

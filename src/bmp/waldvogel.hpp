@@ -14,6 +14,7 @@
 // control-path operations in the paper's architecture).
 #pragma once
 
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +29,7 @@ class WaldvogelBsl final : public LpmEngine {
   Status insert(U128 key, std::uint8_t plen, LpmValue value) override;
   Status remove(U128 key, std::uint8_t plen) override;
   bool lookup(U128 key, LpmMatch& out) const override;
+  bool find(U128 key, std::uint8_t plen, LpmValue& out) const override;
 
   std::string_view name() const override { return "bsl"; }
   unsigned width() const override { return width_; }
@@ -60,6 +62,7 @@ class WaldvogelBsl final : public LpmEngine {
   };
 
   using LengthTable = std::unordered_map<U128, Entry, KeyHash>;
+  using PrefixMap = std::map<std::pair<U128, std::uint8_t>, LpmValue>;
 
   void rebuild() const;
 

@@ -25,33 +25,34 @@ std::uint32_t RoutingTable::alloc_hop(NextHop hop) {
 }
 
 Status RoutingTable::add(const netbase::IpPrefix& prefix, NextHop hop) {
-  const PrefixKey k = key_of(prefix);
-  if (auto it = owner_.find(k); it != owner_.end()) {
+  bool existed = false;
+  return add(prefix, hop, existed);
+}
+
+Status RoutingTable::add(const netbase::IpPrefix& prefix, NextHop hop,
+                         bool& existed) {
+  bmp::LpmEngine& e = engine_for(prefix.addr.ver);
+  bmp::LpmValue id = 0;
+  existed = e.find(prefix.addr.key(), prefix.len, id);
+  if (existed) {
     // Existing prefix: a next-hop change. Rewrite the hop record in place;
     // the engine still maps the prefix to the same hop id, so no trie or
     // hash structure is touched at all.
-    hops_[it->second] = hop;
+    hops_[id] = hop;
     return Status::ok;
   }
-  const std::uint32_t id = alloc_hop(hop);
-  const Status st =
-      engine_for(prefix.addr.ver).insert(prefix.addr.key(), prefix.len, id);
-  if (st != Status::ok) {
-    free_hops_.push_back(id);
-    return st;
-  }
-  owner_.emplace(k, id);
+  id = alloc_hop(hop);
+  const Status st = e.insert(prefix.addr.key(), prefix.len, id);
+  if (st != Status::ok) free_hops_.push_back(id);
   return st;
 }
 
 Status RoutingTable::remove(const netbase::IpPrefix& prefix) {
-  const Status st =
-      engine_for(prefix.addr.ver).remove(prefix.addr.key(), prefix.len);
-  if (st != Status::ok) return st;
-  if (auto it = owner_.find(key_of(prefix)); it != owner_.end()) {
-    free_hops_.push_back(it->second);
-    owner_.erase(it);
-  }
+  bmp::LpmEngine& e = engine_for(prefix.addr.ver);
+  bmp::LpmValue id = 0;
+  const bool live = e.find(prefix.addr.key(), prefix.len, id);
+  const Status st = e.remove(prefix.addr.key(), prefix.len);
+  if (st == Status::ok && live) free_hops_.push_back(id);
   return st;
 }
 
@@ -60,8 +61,8 @@ RouteBatchResult RoutingTable::apply_batch(const RouteOp* ops, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const RouteOp& op = ops[i];
     if (op.kind == RouteOp::Kind::add) {
-      const bool existed = owner_.contains(key_of(op.prefix));
-      if (add(op.prefix, op.hop) != Status::ok)
+      bool existed = false;
+      if (add(op.prefix, op.hop, existed) != Status::ok)
         ++res.failed;
       else if (existed)
         ++res.updated;

@@ -11,14 +11,13 @@
 // prefixes recycle their hop slots through a free list so the table stays
 // flat under add/withdraw cycling, and apply_batch() applies a whole update
 // burst followed by one prepare() so lazily-rebuilt engines never stall the
-// packet path.
+// packet path. The engines' own prefix stores are the only copy of the
+// prefix set: a prefix's hop id is the value its engine holds for it.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
 #include "bmp/lpm.hpp"
@@ -79,18 +78,14 @@ class RoutingTable {
   std::size_t hop_slots() const noexcept { return hops_.size(); }
   std::size_t free_hop_count() const noexcept { return free_hops_.size(); }
   std::string_view engine_name() const { return v4_->name(); }
+  const bmp::LpmEngine& engine(netbase::IpVersion v) const {
+    return engine_for(v);
+  }
 
  private:
-  // (version, masked key, plen) -> hop id. Tracks which hop slot a live
-  // prefix owns so adds of an existing prefix become in-place updates and
-  // withdraws can recycle the slot.
-  using PrefixKey = std::tuple<std::uint8_t, netbase::U128, std::uint8_t>;
-
-  static PrefixKey key_of(const netbase::IpPrefix& prefix) {
-    return {static_cast<std::uint8_t>(prefix.addr.ver),
-            prefix.addr.key() & netbase::U128::prefix_mask(prefix.len),
-            prefix.len};
-  }
+  // add() that also reports whether the prefix was already present.
+  netbase::Status add(const netbase::IpPrefix& prefix, NextHop hop,
+                      bool& existed);
 
   bmp::LpmEngine& engine_for(netbase::IpVersion v) const {
     return v == netbase::IpVersion::v4 ? *v4_ : *v6_;
@@ -102,7 +97,6 @@ class RoutingTable {
   std::unique_ptr<bmp::LpmEngine> v6_;
   std::vector<NextHop> hops_;
   std::vector<std::uint32_t> free_hops_;
-  std::map<PrefixKey, std::uint32_t> owner_;
 };
 
 }  // namespace rp::route

@@ -9,6 +9,7 @@
 
 #include "aiu/aiu.hpp"
 #include "aiu/flow_table.hpp"
+#include "bmp/cpe.hpp"
 #include "pkt/builder.hpp"
 #include "route/route_plugin.hpp"
 #include "route/routing_table.hpp"
@@ -391,6 +392,64 @@ TEST(RoutingTable, DualStack) {
   EXPECT_EQ(t.lookup(*netbase::IpAddr::parse("2001:db8::9"))->out_iface, 2);
   EXPECT_EQ(t.lookup(*netbase::IpAddr::parse("11.0.0.1")), nullptr);
   EXPECT_EQ(t.size(), 2u);
+}
+
+// Without a prefix map of its own, the table asks the engine: a re-add is a
+// next-hop rewrite that leaves the engine alone.
+TEST(RoutingTable, ReAddRewritesHopAndLeavesEngineAlone) {
+  route::RoutingTable t("cpe");
+  const auto p = *netbase::IpPrefix::parse("20.1.16.0/20");
+  ASSERT_EQ(t.add(*netbase::IpPrefix::parse("20.0.0.0/8"), {1, {}}),
+            Status::ok);
+  ASSERT_EQ(t.add(p, {2, {}}), Status::ok);
+  const auto& cpe =
+      dynamic_cast<const bmp::CpeTrie&>(t.engine(netbase::IpVersion::v4));
+  const std::size_t nodes = cpe.node_count();
+  const std::size_t slots = t.hop_slots();
+  const auto dst = *netbase::IpAddr::parse("20.1.17.9");
+
+  EXPECT_EQ(t.add(p, {3, {}}), Status::ok);
+  EXPECT_EQ(t.lookup(dst)->out_iface, 3);
+  // Host bits do not make it another prefix.
+  const route::RouteOp op{route::RouteOp::Kind::add,
+                          *netbase::IpPrefix::parse("20.1.17.0/20"),
+                          {4, {}}};
+  const route::RouteBatchResult r = t.apply_batch(&op, 1);
+  EXPECT_EQ(r.updated, 1u);
+  EXPECT_EQ(r.added, 0u);
+  EXPECT_EQ(t.lookup(dst)->out_iface, 4);
+  EXPECT_EQ(t.size(), 2u);
+  EXPECT_EQ(cpe.node_count(), nodes);
+  EXPECT_EQ(t.hop_slots(), slots);
+  EXPECT_EQ(t.free_hop_count(), 0u);
+}
+
+TEST(RoutingTable, WithdrawOfUnknownPrefixFreesNoHopSlot) {
+  for (const char* engine : {"cpe", "bsl", "patricia"}) {
+    SCOPED_TRACE(engine);
+    route::RoutingTable t(engine);
+    const auto p8 = *netbase::IpPrefix::parse("20.0.0.0/8");
+    ASSERT_EQ(t.add(p8, {1, {}}), Status::ok);
+    ASSERT_EQ(t.add(*netbase::IpPrefix::parse("20.1.0.0/16"), {2, {}}),
+              Status::ok);
+    for (const char* unknown : {"20.1.2.0/24", "20.0.0.0/16", "20.0.0.0/7",
+                                "2001:db8::/32"})
+      EXPECT_EQ(t.remove(*netbase::IpPrefix::parse(unknown)),
+                Status::not_found)
+          << unknown;
+    const route::RouteOp op{route::RouteOp::Kind::withdraw,
+                            *netbase::IpPrefix::parse("20.1.2.0/24"),
+                            {}};
+    EXPECT_EQ(t.apply_batch(&op, 1).failed, 1u);
+    EXPECT_EQ(t.free_hop_count(), 0u);
+    EXPECT_EQ(t.size(), 2u);
+
+    EXPECT_EQ(t.remove(p8), Status::ok);
+    EXPECT_EQ(t.free_hop_count(), 1u);
+    EXPECT_EQ(t.remove(p8), Status::not_found);
+    EXPECT_EQ(t.free_hop_count(), 1u);
+    EXPECT_EQ(t.lookup(*netbase::IpAddr::parse("20.1.2.3"))->out_iface, 2);
+  }
 }
 
 TEST(RoutePlugin, InstanceSetsOutputInterface) {
