@@ -145,11 +145,9 @@ double run_udp(bool with_l7_gate) {
   routes.add(*netbase::IpPrefix::parse("20.0.0.0/8"), {1, {}});
 
   core::CoreConfig cfg;
-  // Gate order stats/ipopt/ipsec: the same three policy gates, ordered so
-  // NEITHER row matches the compile-time fused 3-gate chain — otherwise the
-  // base row would fuse and the +l7 row would not, and the delta would
-  // measure loss of fusion instead of the unbound gate's mask test. (The
-  // deployed default gate order has 6 gates and never fuses either.)
+  // Gate order stats/ipopt/ipsec: the same three policy gates in both rows;
+  // the +l7 row only appends the unbound l7 gate, so the delta measures its
+  // mask test. (One grouped engine serves every gate order.)
   cfg.input_gates = {plugin::PluginType::stats, plugin::PluginType::ipopt,
                      plugin::PluginType::ipsec};
   if (with_l7_gate) cfg.input_gates.push_back(plugin::PluginType::l7);

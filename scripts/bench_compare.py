@@ -28,8 +28,7 @@ HEADLINE = [
     ("t4_burst", "burst_32_ns", "lower"),
     ("t4_burst", "speedup_32_vs_1", "higher"),
     ("t8_sanitize", "on_ns", "lower"),
-    ("t9_gatebatch", "grouped_speedup", "higher"),
-    ("t9_gatebatch", "fused_speedup", "higher"),
+    ("t9_gatebatch", "permuted_order_ns", "lower"),
     ("t10_l7", "unbound_overhead_rel", "lower"),
     ("t10_l7", "offload_speedup", "higher"),
     ("t11_churn", "route_update_ns_p99", "lower"),

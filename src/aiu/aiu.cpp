@@ -234,14 +234,6 @@ void Aiu::flush_cache() {
   }
 }
 
-const FilterRecord* Aiu::classify_uncached(const pkt::FlowKey& key,
-                                           plugin::PluginType gate) {
-  auto* table = tables_[gate_index(gate)].get();
-  if (!table) return nullptr;
-  ++stats_.filter_lookups;
-  return table->lookup(key);
-}
-
 pkt::FlowIndex Aiu::create_flow_entry(pkt::Packet& p) {
   pkt::FlowIndex i = flows_.insert(p.key, p.flow_hash(), clock_.now());
   FlowRecord& r = flows_.rec(i);
@@ -354,34 +346,6 @@ void Aiu::resolve_flows_burst(std::span<pkt::Packet* const> pkts) {
       mfix[s] = f;
     }
   }
-}
-
-void Aiu::gate_lookup_burst(std::span<pkt::Packet* const> pkts,
-                            plugin::PluginType gate, GateBinding** out) {
-  if (!opt_.flow_cache_enabled) {
-    // Ablation: classify each packet at this gate only, like gate_lookup,
-    // but into per-burst scratch slots so the bindings don't alias.
-    burst_tmp_.assign(pkts.size(), GateBinding{});
-    for (std::size_t i = 0; i < pkts.size(); ++i) {
-      pkt::Packet& p = *pkts[i];
-      if (!p.key_valid && !pkt::extract_flow_key(p)) {
-        out[i] = nullptr;
-        continue;
-      }
-      if (const FilterRecord* fr = classify_uncached(p.key, gate)) {
-        burst_tmp_[i].instance = fr->instance;
-        burst_tmp_[i].filter = fr;
-      }
-      out[i] = &burst_tmp_[i];
-    }
-    return;
-  }
-  resolve_flows_burst(pkts);
-  const std::size_t gi = gate_index(gate);
-  for (std::size_t i = 0; i < pkts.size(); ++i)
-    out[i] = pkts[i]->fix != pkt::kNoFlow
-                 ? &flows_.rec(pkts[i]->fix).gates[gi]
-                 : nullptr;
 }
 
 }  // namespace rp::aiu

@@ -18,7 +18,6 @@
 #include <array>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "aiu/filter_table.hpp"
 #include "aiu/flow_table.hpp"
@@ -130,17 +129,6 @@ class Aiu {
   // matched — the gate simply continues.
   GateBinding* gate_lookup(pkt::Packet& p, plugin::PluginType gate);
 
-  // Inline fast path of gate_lookup for packets already resolved by
-  // resolve_flows_burst in this chunk (p.fix set): a direct flow-table array
-  // access, no out-of-line call. Falls back to the full lookup for the rare
-  // unresolved packet, so the result always matches gate_lookup exactly.
-  // `gi` must be gate_index(gate), hoisted by the caller.
-  GateBinding* gate_lookup_resolved(pkt::Packet& p, plugin::PluginType gate,
-                                    std::size_t gi) {
-    if (p.fix != pkt::kNoFlow) [[likely]] return &flows_.rec(p.fix).gates[gi];
-    return gate_lookup(p, gate);
-  }
-
   // Burst data path. Packets are processed in chunks of at most kMaxBurst.
   static constexpr std::size_t kMaxBurst = 32;
 
@@ -159,17 +147,6 @@ class Aiu {
   // kMaxBurst so LRU recycling cannot evict a burst-mate's flow.
   void resolve_flows_burst(std::span<pkt::Packet* const> pkts);
 
-  // Burst variant of gate_lookup: resolve_flows_burst + gather the bindings
-  // at `gate` into `out[i]` (null where the packet is unparseable). `out`
-  // must have room for pkts.size() entries.
-  void gate_lookup_burst(std::span<pkt::Packet* const> pkts,
-                         plugin::PluginType gate, GateBinding** out);
-
-  // One-gate classification without touching the cache (used by benches and
-  // by the no-cache ablation path).
-  const FilterRecord* classify_uncached(const pkt::FlowKey& key,
-                                        plugin::PluginType gate);
-
  private:
   pkt::FlowIndex create_flow_entry(pkt::Packet& p);
   void flush_cache();
@@ -181,9 +158,6 @@ class Aiu {
   std::array<std::unique_ptr<FilterTableBase>, kNumGates> tables_;
   FlowTable flows_;
   Stats stats_;
-  // Scratch bindings for gate_lookup_burst under the no-cache ablation
-  // (nothing persists across packets there; see gate_lookup).
-  std::vector<GateBinding> burst_tmp_;
 };
 
 }  // namespace rp::aiu

@@ -1,7 +1,6 @@
 #include "core/ip_core.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "netbase/byteorder.hpp"
@@ -49,19 +48,9 @@ void IpCore::process(pkt::PacketPtr p) {
 
 void IpCore::process_burst(std::span<pkt::PacketPtr> batch) {
   ++burst_depth_;
-  // Grouped dispatch needs stable per-packet bindings, which only the flow
-  // cache provides (the ablation path hands out shared scratch bindings).
-  const bool grouped = cfg_.batch_gates && aiu_.flow_cache_enabled();
-  // The fused chain is the compile-time instantiation of the full
-  // sanitize -> classify -> gates pipeline for the paper's 3-gate
-  // configuration; one vector compare per call selects it. It hard-codes
-  // the default validation config (sanitize + checksum + TTL all on), so
-  // any other combination takes the generic path.
-  const bool fused =
-      grouped && cfg_.sanitize && cfg_.verify_ipv4_checksum &&
-      cfg_.decrement_ttl &&
-      std::equal(cfg_.input_gates.begin(), cfg_.input_gates.end(),
-                 FusedGateList3::kGates.begin(), FusedGateList3::kGates.end());
+  // The grouped engine needs stable per-packet bindings, which only the flow
+  // cache provides (the no-cache ablation hands out shared scratch bindings).
+  const bool groupable = aiu_.flow_cache_enabled();
   pkt::Packet* live[aiu::Aiu::kMaxBurst];
   pkt::PacketPtr* slots[aiu::Aiu::kMaxBurst];
   for (std::size_t base = 0; base < batch.size();
@@ -79,24 +68,13 @@ void IpCore::process_burst(std::span<pkt::PacketPtr> batch) {
     for (auto& p : chunk)
       if (p) __builtin_prefetch(p->data());
 
-    // Stage 1: header validation for the whole chunk (drops fall out here,
-    // exactly as in the single-packet path). The fused chain takes the
-    // single-pass validator; its fallback is validate() itself, so the two
-    // can never diverge.
+    // Stage 1: header validation for the whole chunk (drops fall out here).
     std::size_t n_live = 0;
-    if (fused) {
-      for (auto& p : chunk)
-        if (p && validate_fast(p)) {
-          slots[n_live] = &p;
-          live[n_live++] = p.get();
-        }
-    } else {
-      for (auto& p : chunk)
-        if (p && validate(p)) {
-          slots[n_live] = &p;
-          live[n_live++] = p.get();
-        }
-    }
+    for (auto& p : chunk)
+      if (p && validate(p)) {
+        slots[n_live] = &p;
+        live[n_live++] = p.get();
+      }
 
     // Stage 2: one AIU pass resolves every survivor's flow index with
     // precomputed hashes and flow-table prefetch.
@@ -104,22 +82,16 @@ void IpCore::process_burst(std::span<pkt::PacketPtr> batch) {
 
     // Stage 3a (grouped): partition by resolved instance at each gate and
     // dispatch once per group; drop/consume splits compact between gates.
-    // A single survivor has nothing to group — it takes the per-packet
-    // machinery below, which also keeps process() (a burst of one) on
-    // exactly the pre-batching path.
-    if (grouped && n_live > 1) {
-      if (fused) {
-        ++counters_.fused_bursts;
-        process_chunk_grouped(FusedGateList3{}, slots, n_live);
-      } else {
-        process_chunk_grouped(RuntimeGateList{cfg_.input_gates}, slots,
-                              n_live);
-      }
+    if (groupable && n_live > 1) {
+      ++counters_.fused_bursts;
+      process_chunk_grouped(slots, n_live);
       continue;
     }
 
-    // Stage 3b: the unchanged per-packet machinery; every gate lookup is
-    // now a direct flow-table array access.
+    // Stage 3b: the per-packet loop. A single survivor has nothing to group,
+    // and for one packet (process(), paced traffic) this loop is cheaper
+    // than the grouped engine's setup; every gate lookup is a direct
+    // flow-table array access.
     for (auto& p : chunk)
       if (p) process_classified(std::move(p));
   }
@@ -138,6 +110,12 @@ bool IpCore::validate(pkt::PacketPtr& p) {
   // invariant adversarial traffic is probing (docs/wire_hardening.md).
   if (cfg_.sanitize) {
     bool trimmed = false;
+    // The common IPv4 shape passes every check below in one pass; anything
+    // else, including every packet a check would drop, falls through.
+    if (pkt::accept_common_ipv4(*p, trimmed)) [[likely]] {
+      if (trimmed) ++counters_.sanitize_trimmed;
+      return true;
+    }
     const auto check = pkt::sanitize_packet(*p, trimmed);
     if (check != pkt::SanitizeCheck::ok) {
       ++counters_.sanitize_drops[static_cast<std::size_t>(check)];
@@ -156,90 +134,21 @@ bool IpCore::validate(pkt::PacketPtr& p) {
   std::uint8_t* h = p->data();
   if (p->ip_version == IpVersion::v4) {
     const std::size_t hlen = std::size_t{static_cast<std::size_t>(h[0] & 0x0f)} * 4;
-    if (cfg_.verify_ipv4_checksum &&
-        !pkt::Ipv4Header::verify_checksum({h, hlen})) {
+    if (!pkt::Ipv4Header::verify_checksum({h, hlen})) {
       drop(std::move(p), DropReason::bad_checksum);
       return false;
     }
-    if (cfg_.decrement_ttl && h[8] <= 1) {
+    if (h[8] <= 1) {
       if (cfg_.emit_icmp_errors) emit_icmp_error(*p, 11, 0);  // time exceeded
       drop(std::move(p), DropReason::ttl_expired);
       return false;
     }
   } else {
-    if (cfg_.decrement_ttl && h[7] <= 1) {
+    if (h[7] <= 1) {
       if (cfg_.emit_icmp_errors) emit_icmpv6_error(*p, 3, 0, 0);
       drop(std::move(p), DropReason::ttl_expired);
       return false;
     }
-  }
-  return true;
-}
-
-bool IpCore::validate_fast(pkt::PacketPtr& p) {
-  using netbase::load_be16;
-  const auto b = p->bytes();
-  // Fast path: IPv4, no options, unfragmented, TCP/UDP. One set of header
-  // loads feeds the checksum and every sanitize/validate check below;
-  // anything else (including every would-fail packet) re-runs the generic
-  // validate() from scratch, which owns all drop accounting.
-  if (b.size() < 28 || b[0] != 0x45) return validate(p);
-  const std::uint8_t* h = b.data();
-  // RFC 1071 sum over the 20-byte header in three wide loads. The one's-
-  // complement sum is byte-order independent up to a final swap, so the
-  // verdict is identical to summing big-endian 16-bit words.
-  std::uint64_t q0, q1;
-  std::uint32_t q2;
-  std::memcpy(&q0, h, 8);
-  std::memcpy(&q1, h + 8, 8);
-  std::memcpy(&q2, h + 16, 4);
-  const unsigned __int128 acc =
-      static_cast<unsigned __int128>(q0) + q1 + q2;
-  std::uint64_t sum =
-      static_cast<std::uint64_t>(acc) + static_cast<std::uint64_t>(acc >> 64);
-  sum += sum < static_cast<std::uint64_t>(acc);  // end-around carry
-  sum = (sum & 0xffffffff) + (sum >> 32);
-  sum = (sum & 0xffff) + (sum >> 16);
-  sum = (sum & 0xffff) + (sum >> 16);
-  sum = (sum & 0xffff) + (sum >> 16);
-  if constexpr (std::endian::native == std::endian::little)
-    sum = ((sum & 0xff) << 8) | (sum >> 8);
-  const std::size_t total_len = load_be16(&h[2]);
-  if (total_len > b.size() || (load_be16(&h[6]) & 0x3fff) != 0)
-    return validate(p);
-  const std::uint8_t proto = h[9];
-  if (proto == static_cast<std::uint8_t>(pkt::IpProto::udp)) {
-    if (total_len < 20 + pkt::UdpHeader::kSize) return validate(p);
-    const std::size_t ulen = load_be16(&h[24]);
-    if (ulen < pkt::UdpHeader::kSize || 20 + ulen > total_len)
-      return validate(p);
-  } else if (proto == static_cast<std::uint8_t>(pkt::IpProto::tcp)) {
-    if (total_len < 20 + pkt::TcpHeader::kMinSize) return validate(p);
-    const std::size_t doff = static_cast<std::size_t>(h[32] >> 4) * 4;
-    if (doff < pkt::TcpHeader::kMinSize || 20 + doff > total_len)
-      return validate(p);
-  } else {
-    return validate(p);
-  }
-  if (sum != 0xffff) return validate(p);  // bad checksum: generic drops it
-  if (h[8] <= 1) return validate(p);      // TTL expired: generic drops it
-  // Success: exactly the side effects of sanitize + extract + validate.
-  ++counters_.received;
-  if (b.size() > total_len) {
-    p->trim(b.size() - total_len);
-    ++counters_.sanitize_trimmed;
-  }
-  if (!p->key_valid) {
-    p->invalidate_flow_hash();
-    p->ip_version = IpVersion::v4;
-    p->key.src = netbase::IpAddr(netbase::Ipv4Addr(netbase::load_be32(&h[12])));
-    p->key.dst = netbase::IpAddr(netbase::Ipv4Addr(netbase::load_be32(&h[16])));
-    p->key.proto = proto;
-    p->key.sport = load_be16(&h[20]);
-    p->key.dport = load_be16(&h[22]);
-    p->key.in_iface = p->in_iface;
-    p->l4_offset = 20;
-    p->key_valid = true;
   }
   return true;
 }
@@ -422,17 +331,15 @@ void IpCore::finish_packet(pkt::PacketPtr p,
   // Fetch the header pointer only now: gate plugins (AH/ESP) may have
   // prepended headers and moved the packet's data start.
   std::uint8_t* h = p->data();
-  if (cfg_.decrement_ttl) {
-    if (p->ip_version == IpVersion::v4) {
-      const std::uint16_t old_word = netbase::load_be16(&h[8]);
-      --h[8];
-      const std::uint16_t new_word = netbase::load_be16(&h[8]);
-      const std::uint16_t old_ck = netbase::load_be16(&h[10]);
-      netbase::store_be16(&h[10],
-                          netbase::checksum_update16(old_ck, old_word, new_word));
-    } else {
-      --h[7];
-    }
+  if (p->ip_version == IpVersion::v4) {
+    const std::uint16_t old_word = netbase::load_be16(&h[8]);
+    --h[8];
+    const std::uint16_t new_word = netbase::load_be16(&h[8]);
+    const std::uint16_t old_ck = netbase::load_be16(&h[10]);
+    netbase::store_be16(&h[10],
+                        netbase::checksum_update16(old_ck, old_word, new_word));
+  } else {
+    --h[7];
   }
 
   // ---- MTU handling (RFC 791 fragmentation) ----
@@ -486,9 +393,7 @@ void IpCore::finish_packet(pkt::PacketPtr p,
 // order. Counter equivalence is exact: gate_calls advances once per packet
 // dispatched (the breaker windows are anchored to it); the group counters
 // ride alongside.
-template <class GateList>
-void IpCore::process_chunk_grouped(GateList gl, pkt::PacketPtr** slots,
-                                   std::size_t n) {
+void IpCore::process_chunk_grouped(pkt::PacketPtr** slots, std::size_t n) {
   constexpr std::size_t kMax = aiu::Aiu::kMaxBurst;
 
   // Per-packet trace state; the sampling cadence (one tick per packet, in
@@ -510,7 +415,10 @@ void IpCore::process_chunk_grouped(GateList gl, pkt::PacketPtr** slots,
   // Live packets in arrival order: slot indices plus parallel raw-pointer
   // arrays (packet, flow record), compacted together, so the gate loops
   // never chase PacketPtr double indirection and each gate's binding is one
-  // indexed load off the hoisted record.
+  // indexed load off the hoisted record. The records stay put through the
+  // gate stage (plugins never re-enter the core); the tail looks each one
+  // up again, because an ICMP error re-entering process() there may grow
+  // the flow table and move every record.
   std::size_t live[kMax];
   pkt::Packet* lp[kMax];
   aiu::FlowRecord* fr[kMax];
@@ -531,7 +439,7 @@ void IpCore::process_chunk_grouped(GateList gl, pkt::PacketPtr** slots,
   Verdict verdict[kMax];
   bool fdrop[kMax];
 
-  for (PluginType gate : gl.list()) {
+  for (PluginType gate : cfg_.input_gates) {
     if (n_live == 0) break;
     const std::size_t gi = aiu::gate_index(gate);
     if (!(bound_union & (std::uint32_t{1} << gi)))
@@ -794,10 +702,12 @@ void IpCore::process_chunk_grouped(GateList gl, pkt::PacketPtr** slots,
         (std::uint32_t{1} << aiu::gate_index(PluginType::sched)))) == 0;
   for (std::size_t k = 0; k < n_live; ++k) {
     const std::size_t s = live[k];
+    const pkt::FlowIndex fix = lp[k]->fix;
+    aiu::FlowRecord* frp = fix != pkt::kNoFlow ? &flows.rec(fix) : nullptr;
 #if RP_TELEMETRY
     if (tel_ && tr[s]) {
       finish_packet<true, true, false>(std::move(*slots[s]), tr[s], t0[s],
-                                       &memo, fr[k], defer);
+                                       &memo, frp, defer);
       continue;
     }
 #endif
@@ -806,7 +716,7 @@ void IpCore::process_chunk_grouped(GateList gl, pkt::PacketPtr** slots,
                                        nullptr, defer);
     else
       finish_packet<false, true, false>(std::move(*slots[s]), nullptr, 0,
-                                        &memo, fr[k], defer);
+                                        &memo, frp, defer);
   }
   flush_output_ops(ops);
   cur_ops_ = prev;

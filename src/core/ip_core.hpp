@@ -11,7 +11,6 @@
 // order of pre-routing gates is configurable.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <span>
@@ -65,10 +64,10 @@ constexpr std::string_view to_string(DropReason r) noexcept {
 struct CoreConfig {
   // Ingress sanitization (pkt/sanitize.hpp): canonical validation of every
   // length field and chain before classification. On by default; the off
-  // switch exists for measuring its cost, not for production use.
+  // switch exists for measuring its cost, not for production use. IPv4
+  // header checksum verification and the TTL/hop-limit check and decrement
+  // always run.
   bool sanitize{true};
-  bool verify_ipv4_checksum{true};
-  bool decrement_ttl{true};
   bool emit_icmp_errors{false};
   // Gates run before the route lookup, in order. The routing gate runs with
   // the route lookup and the sched gate at output; they need not be listed.
@@ -80,15 +79,6 @@ struct CoreConfig {
       plugin::PluginType::firewall, plugin::PluginType::l7,
       plugin::PluginType::congestion, plugin::PluginType::stats};
   std::size_t port_fifo_limit{1024};  // default per-port FIFO depth
-  // Batch-native gate dispatch (docs/plugin_authoring.md §11): partition
-  // each resolved burst chunk by (gate, instance) and hand every group to
-  // the instance as one handle_burst call, compacting drop/consume splits
-  // between gates. Off = the per-packet gate loop; the switch exists so
-  // benches and the differential tests can compare both paths in one
-  // binary. The grouped path also requires the AIU flow cache (the no-cache
-  // ablation hands out aliasing scratch bindings) and falls back to the
-  // per-packet loop for single-survivor chunks, so process() is unchanged.
-  bool batch_gates{true};
 };
 
 struct CoreCounters {
@@ -107,7 +97,9 @@ struct CoreCounters {
   // and the breaker windows anchored to it — is unchanged.
   std::uint64_t gate_groups{0};
   std::uint64_t gate_group_pkts{0};
-  std::uint64_t fused_bursts{0};  // chunks taken by the template-fused chain
+  // Chunks taken by the grouped engine. The name predates the engine's
+  // single form; routerbench reads it as core.fused_share.
+  std::uint64_t fused_bursts{0};
   // Group-size histogram: 1, 2, 3-4, 5-8, 9-16, 17+ packets per group.
   static constexpr std::size_t kGroupHistBuckets = 6;
   std::uint64_t group_size_hist[kGroupHistBuckets]{};
@@ -181,12 +173,18 @@ class IpCore final : public DataPath {
   // Implemented as a burst of one so the two entry points cannot diverge.
   void process(pkt::PacketPtr p) override;
 
-  // Batched input path (the tentpole of the burst datapath): validates the
-  // whole burst, then resolves every packet's flow binding in one AIU pass
-  // (hash-once + bucket/record prefetch + last-flow memo), then runs the
-  // unchanged per-packet gate/forwarding machinery — which now always hits
-  // the FIX fast path. Gate order, drops, ICMP, fragmentation, and counters
-  // are identical to the single-packet path.
+  // Batched input path, in chunks of Aiu::kMaxBurst: validates the whole
+  // chunk, resolves every survivor's flow index in one AIU pass (hash-once +
+  // bucket/record prefetch + last-flow memo), then runs the gates. A chunk
+  // with two or more survivors and the flow cache on takes the grouped
+  // engine: at each gate the survivors are grouped by instance and each
+  // group is one handle_burst call. Everything else takes the per-packet
+  // loop: one-survivor chunks (process(), paced traffic), where it measures
+  // faster, and the no-cache ablation, whose scratch bindings alias. Gate
+  // order, verdicts, drops, fragmentation, egress order and counters match
+  // feeding the same packets one at a time through process(), except that a
+  // chunk validates before it forwards: its time-exceeded ICMP errors leave
+  // ahead of the unreachable and frag-needed errors its tail emits.
   void process_burst(std::span<pkt::PacketPtr> batch) override;
 
   // Output side, driven by the router kernel when a link goes idle: the
@@ -240,17 +238,13 @@ class IpCore final : public DataPath {
     std::deque<pkt::PacketPtr> fifo;
   };
 
-  // Stage 1 of the input path: parse + header validation (checksum, TTL).
-  // On failure the packet is dropped (slot nulled) and false returned.
+  // Stage 1 of the input path: sanitize, parse the flow key, verify the
+  // IPv4 header checksum, check TTL/hop limit. With cfg_.sanitize on it
+  // tries pkt::accept_common_ipv4 first, which accepts the common IPv4
+  // shape in one pass; every other packet, and every would-fail one, takes
+  // the generic checks. This function owns the counting either way. On
+  // failure the packet is dropped (slot nulled) and false returned.
   bool validate(pkt::PacketPtr& p);
-  // Fused stage 1 used by the specialized chain: sanitize + checksum + key
-  // extraction + TTL in one pass over the common IPv4/no-options header
-  // (one set of loads feeds the checksum and every check). Anything
-  // unusual — options, fragments, v6, non-TCP/UDP, or any check that would
-  // fail — falls back to validate(), so outcomes, counters, and drop
-  // reasons are identical by construction. Requires cfg_.sanitize,
-  // verify_ipv4_checksum, and decrement_ttl (the caller checks).
-  bool validate_fast(pkt::PacketPtr& p);
   // Stages 2+3: gates, forwarding decision, TTL decrement, MTU handling,
   // output enqueue. The flow index is already resolved (or resolvable via
   // the per-gate slow path when the cache is disabled). The dispatcher picks
@@ -281,33 +275,18 @@ class IpCore final : public DataPath {
   // the per-packet path enqueues immediately, the grouped path defers into
   // the chunk's output-op list so same-scheduler runs batch. UseMemo selects
   // the chunk-scoped lookup memos and inline binding accessors of the
-  // grouped engine (`frp` is the packet's hoisted flow record, null when
-  // unresolved); with UseMemo=false (`memo`/`frp` null) this compiles to
-  // exactly the pre-batching per-packet tail. SkipGates (grouped engine
-  // only, implies UseMemo) is set when the chunk's flow records prove the
-  // routing and sched gates unbound for every packet, eliding both lookups.
+  // grouped engine (`frp` is the packet's flow record, looked up when its
+  // tail starts; null when unresolved); with UseMemo=false (`memo`/`frp`
+  // null) this compiles to exactly the per-packet tail. SkipGates (grouped
+  // engine only, implies UseMemo) is set when the chunk's flow records prove
+  // the routing and sched gates unbound for every packet, eliding both
+  // lookups.
   template <bool Traced, bool UseMemo, bool SkipGates, class Emit>
   void finish_packet(pkt::PacketPtr p, telemetry::TraceRecord* tr,
                      std::uint64_t t_start, FwdMemo* memo,
                      aiu::FlowRecord* frp, Emit&& emit);
 
   // ---- grouped (batch-native) gate dispatch ----
-  // Gate lists for the grouped engine: the generic runtime list, and the
-  // compile-time fused instantiation for the paper's common 3-gate chain
-  // (T3: ipopt -> ipsec -> stats) — the constexpr analogue of PacketMill's
-  // chain specialization, selected per burst when cfg_.input_gates matches.
-  struct RuntimeGateList {
-    std::span<const plugin::PluginType> gates;
-    std::span<const plugin::PluginType> list() const noexcept { return gates; }
-  };
-  struct FusedGateList3 {
-    static constexpr std::array<plugin::PluginType, 3> kGates{
-        plugin::PluginType::ipopt, plugin::PluginType::ipsec,
-        plugin::PluginType::stats};
-    constexpr const std::array<plugin::PluginType, 3>& list() const noexcept {
-      return kGates;
-    }
-  };
   // Deferred output op: one packet ready to enqueue, with the sched-gate
   // binding it resolved and its trace state. A chunk's ops flush in order,
   // batching maximal consecutive same-scheduler runs via enqueue_burst.
@@ -322,12 +301,10 @@ class IpCore final : public DataPath {
     OutOp ops[kCap];
     std::size_t n{0};
   };
-  // Runs the input gates group-at-a-time over a chunk's validated survivors
-  // (`slots` point at the owning PacketPtrs, arrival order), then the shared
-  // per-packet tail, then flushes the output ops.
-  template <class GateList>
-  void process_chunk_grouped(GateList gl, pkt::PacketPtr** slots,
-                             std::size_t n);
+  // Runs cfg_.input_gates group-at-a-time over a chunk's validated, resolved
+  // survivors (`slots` point at the owning PacketPtrs, arrival order), then
+  // the shared per-packet tail, then flushes the output ops.
+  void process_chunk_grouped(pkt::PacketPtr** slots, std::size_t n);
   void flush_output_ops(OutOpList& l);
 
   void drop(pkt::PacketPtr p, DropReason r);

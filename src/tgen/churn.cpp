@@ -1,7 +1,7 @@
 #include "tgen/churn.hpp"
 
-#include <map>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 namespace rp::tgen {
@@ -34,9 +34,24 @@ RouteChurn route_churn(const RouteChurnSpec& spec) {
 
   // Live-set tracking so withdraws always hit and fresh adds never alias an
   // existing prefix (an aliasing add would silently be a next-hop change and
-  // skew the op mix).
-  using Key = std::pair<U128, std::uint8_t>;
-  std::map<Key, std::size_t> index;  // key -> position in live
+  // skew the op mix). The index only answers membership and positions, so
+  // a hash map serves; the emitted stream never depends on its order.
+  struct Key {
+    U128 addr;
+    std::uint8_t len;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const noexcept {
+      std::uint64_t h = (k.addr.hi ^ (k.addr.lo * 0x9e3779b97f4a7c15ULL)) +
+                        k.len;
+      h ^= h >> 29;
+      h *= 0xbf58476d1ce4e5b9ULL;
+      return static_cast<std::size_t>(h ^ (h >> 32));
+    }
+  };
+  std::unordered_map<Key, std::size_t, KeyHash> index;  // -> position in live
+  index.reserve(spec.base_prefixes + spec.ops);
   std::vector<IpPrefix> live;
 
   auto fresh_prefix = [&] {

@@ -1,19 +1,20 @@
-// Differential proof for grouped (batch-native) gate dispatch (PR 6
-// tentpole): with the same gate order and the same trace, batch_gates=on
-// must be observationally identical to batch_gates=off — same counters,
-// same per-reason drops, same per-instance invocation totals, same
-// per-flow soft state, and byte-identical egress in identical order — for
-// both the runtime-grouped path and the compile-time fused 3-gate chain,
-// including mid-burst verdict splits (drop/consume at different gates),
-// ICMP error re-entry, and the default handle_burst shim.
+// Differential proof for grouped (batch-native) gate dispatch: with the
+// same gate order and the same trace, a core fed in chunks (the grouped
+// engine) must be observationally identical to the same core fed one
+// packet per process() call (the per-packet loop) — same counters, same
+// per-reason drops, same per-instance invocation totals, same per-flow soft
+// state, and byte-identical egress in identical order — for the Table-3
+// gate order and a permutation of it, including mid-burst verdict splits
+// (drop/consume at different gates), ICMP error re-entry, an ICMP error
+// that grows the flow table mid-chunk, and the default handle_burst shim.
 //
 // The sharded and adversarial variants live in the ShardDiff / WireFuzz
 // suites (names chosen so ctest's parallel-diff-tsan and fuzz labels pick
 // them up): ShardDiff.GateBatch* replays a seeded trace through a
-// batch-off single stack and a batch-on N-worker ShardedDatapath,
+// one-packet-at-a-time single stack and an N-worker ShardedDatapath,
 // N ∈ {1, 2, 4}; WireFuzz.GateBatch* drives identically-seeded
-// adversarial streams through a batch-on and a batch-off core and demands
-// identical counters and egress.
+// adversarial streams through a chunked and a one-at-a-time core and
+// demands identical counters and egress.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include <limits>
 #include <map>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,7 @@
 #include "pkt/builder.hpp"
 #include "pkt/headers.hpp"
 #include "plugin/pcu.hpp"
+#include "sched/drr.hpp"
 #include "telemetry/flow_export.hpp"
 #include "tgen/adversarial.hpp"
 
@@ -130,13 +133,18 @@ class ShimOnlyPlugin final : public plugin::Plugin {
   }
 };
 
-// Fused chain order; any permutation forces the runtime-grouped path.
-const std::vector<PluginType> kFusedOrder = {PluginType::ipopt,
-                                             PluginType::ipsec,
-                                             PluginType::stats};
-const std::vector<PluginType> kRuntimeOrder = {PluginType::stats,
-                                               PluginType::ipsec,
-                                               PluginType::ipopt};
+// The Table-3 gate order and a permutation of it; the grouped engine must
+// serve both.
+const std::vector<PluginType> kT3Order = {
+    PluginType::ipopt, PluginType::ipsec, PluginType::stats};
+const std::vector<PluginType> kPermutedOrder = {
+    PluginType::stats, PluginType::ipsec, PluginType::ipopt};
+
+// The reference every differential compares against: the same stack fed
+// one packet per process() call, which is the per-packet loop.
+void process_one_at_a_time(IpCore& core, std::span<pkt::PacketPtr> pkts) {
+  for (auto& p : pkts) core.process(std::move(p));
+}
 
 JudgeInstance* add_judge(plugin::PluginControlUnit& pcu, aiu::Aiu& aiu,
                          const char* name, PluginType type,
@@ -192,9 +200,9 @@ struct Rig {
   std::unique_ptr<IpCore> core;
   JudgeTaps taps;
 
-  Rig(bool batch_gates, const std::vector<PluginType>& order,
-      bool icmp_errors = false) {
-    aiu = std::make_unique<aiu::Aiu>(pcu, clock);
+  Rig(const std::vector<PluginType>& order, bool icmp_errors = false,
+      aiu::Aiu::Options aiu_opt = {}) {
+    aiu = std::make_unique<aiu::Aiu>(pcu, clock, std::move(aiu_opt));
     ifs.add("if0");
     ifs.add("if1").set_mtu(600);
     routes.add(*netbase::IpPrefix::parse("20.0.0.0/8"), {1, {}});
@@ -202,7 +210,6 @@ struct Rig {
 
     CoreConfig cfg;
     cfg.input_gates = order;
-    cfg.batch_gates = batch_gates;
     cfg.emit_icmp_errors = icmp_errors;
     core = std::make_unique<IpCore>(*aiu, routes, ifs, clock, cfg);
     taps = install_judges(pcu, *aiu);
@@ -323,13 +330,40 @@ void expect_taps_equal(const JudgeTaps& a, const JudgeTaps& b) {
   EXPECT_EQ(a.ipsec->consumed_n, b.ipsec->consumed_n);
 }
 
-// Same trace, same gate order, same chunking: batch off vs batch on.
-void expect_equivalent(const std::vector<PluginType>& order, bool fused,
+// Drains both rigs and compares their egress. if1 carries the forwarded
+// trace and must match byte for byte, in order. if0 carries only the ICMP
+// errors, compared per ICMP type in order: a chunk validates before it
+// forwards, so its time-exceeded errors leave ahead of the unreachable and
+// frag-needed errors its tail emits, where one-at-a-time processing
+// interleaves the types in arrival order.
+void expect_same_egress(Rig& ref, Rig& dut, std::size_t at) {
+  auto oa = ref.drain(1);
+  auto ob = dut.drain(1);
+  ASSERT_EQ(oa.size(), ob.size()) << "iface 1 after packet " << at;
+  for (std::size_t i = 0; i < oa.size(); ++i)
+    EXPECT_EQ(oa[i], ob[i]) << "iface 1 after packet " << at << " egress "
+                            << i;
+  using ByType = std::map<std::uint8_t, std::vector<std::vector<std::uint8_t>>>;
+  auto by_type = [](std::vector<std::vector<std::uint8_t>> pkts) {
+    ByType m;
+    for (auto& b : pkts) {
+      const std::uint8_t type = b.size() > 20 ? b[20] : 0;
+      m[type].push_back(std::move(b));
+    }
+    return m;
+  };
+  EXPECT_EQ(by_type(ref.drain(0)), by_type(dut.drain(0)))
+      << "iface 0 after packet " << at;
+}
+
+// Same trace, same gate order: the reference takes one packet per process()
+// call, the device under test irregular chunks.
+void expect_equivalent(const std::vector<PluginType>& order, bool t3_order,
                        bool icmp_errors) {
-  SCOPED_TRACE(std::string(fused ? "fused" : "runtime") +
+  SCOPED_TRACE(std::string(t3_order ? "t3 order" : "permuted order") +
                (icmp_errors ? "+icmp" : ""));
-  Rig off(false, order, icmp_errors), on(true, order, icmp_errors);
-  auto trace = make_trace(fused ? 7 : 11, 600);
+  Rig ref(order, icmp_errors), dut(order, icmp_errors);
+  auto trace = make_trace(t3_order ? 7 : 11, 600);
 
   std::vector<pkt::PacketPtr> a, b;
   for (const auto& p : trace) {
@@ -338,47 +372,43 @@ void expect_equivalent(const std::vector<PluginType>& order, bool fused,
   }
 
   // Irregular chunking, including chunks above Aiu::kMaxBurst so internal
-  // re-chunking and single-survivor fallback chunks both occur.
+  // re-chunking and single-survivor fallback chunks both occur. Both rigs
+  // drain after every chunk.
   const std::size_t sizes[] = {1, 2, 3, 5, 8, 13, 21, 32, 40};
-  for (auto* batch : {&a, &b}) {
-    IpCore& core = batch == &a ? *off.core : *on.core;
-    std::size_t o = 0, s = 0;
-    while (o < batch->size()) {
-      const std::size_t n =
-          std::min(sizes[s++ % std::size(sizes)], batch->size() - o);
-      core.process_burst({batch->data() + o, n});
-      o += n;
-    }
+  std::size_t o = 0, s = 0;
+  while (o < b.size()) {
+    const std::size_t n = std::min(sizes[s++ % std::size(sizes)], b.size() - o);
+    process_one_at_a_time(*ref.core, {a.data() + o, n});
+    dut.core->process_burst({b.data() + o, n});
+    o += n;
+    expect_same_egress(ref, dut, o);
   }
 
-  expect_counters_equal(off.core->counters(), on.core->counters());
-  expect_taps_equal(off.taps, on.taps);
-  EXPECT_EQ(off.soft_state(), on.soft_state());
+  expect_counters_equal(ref.core->counters(), dut.core->counters());
+  expect_taps_equal(ref.taps, dut.taps);
+  EXPECT_EQ(ref.soft_state(), dut.soft_state());
 
-  // The batch-off rig must never see handle_burst; the batch-on rig must
-  // dispatch groups natively (per-packet calls remain only for
+  // The one-at-a-time reference must never see handle_burst; the chunked
+  // rig must dispatch groups natively (per-packet calls remain only for
   // single-survivor fallback chunks).
-  EXPECT_EQ(off.taps.ipopt->burst_calls, 0u);
-  EXPECT_GT(on.taps.ipopt->burst_calls, 0u);
-  EXPECT_GT(on.taps.stats_b->burst_calls, 0u);
+  EXPECT_EQ(ref.taps.ipopt->burst_calls, 0u);
+  EXPECT_GT(dut.taps.ipopt->burst_calls, 0u);
+  EXPECT_GT(dut.taps.stats_b->burst_calls, 0u);
 
   // Group accounting: every group histogrammed, sizes add up, and the
-  // fused chain engaged exactly when the gate order matches it.
-  const CoreCounters& cc = on.core->counters();
+  // grouped engine took chunks whatever the gate order.
+  const CoreCounters& cc = dut.core->counters();
   EXPECT_GT(cc.gate_groups, 0u);
   std::uint64_t hist_sum = 0;
   for (auto h : cc.group_size_hist) hist_sum += h;
   EXPECT_EQ(hist_sum, cc.gate_groups);
   EXPECT_GE(cc.gate_group_pkts, cc.gate_groups);
-  if (fused)
-    EXPECT_GT(cc.fused_bursts, 0u);
-  else
-    EXPECT_EQ(cc.fused_bursts, 0u);
-  EXPECT_EQ(off.core->counters().gate_groups, 0u);
+  EXPECT_GT(cc.fused_bursts, 0u);
+  EXPECT_EQ(ref.core->counters().gate_groups, 0u);
 
   // Sanity: the trace really exercised every outcome, including mid-burst
   // splits at three different gates and (optionally) ICMP generation.
-  const CoreCounters& ca = off.core->counters();
+  const CoreCounters& ca = ref.core->counters();
   EXPECT_GT(ca.forwarded, 0u);
   EXPECT_GT(ca.fragments_created, 0u);
   EXPECT_GT(ca.dropped(DropReason::ttl_expired), 0u);
@@ -386,35 +416,82 @@ void expect_equivalent(const std::vector<PluginType>& order, bool fused,
   EXPECT_GT(ca.dropped(DropReason::malformed), 0u);
   EXPECT_GT(ca.dropped(DropReason::no_route), 0u);
   EXPECT_GT(ca.dropped(DropReason::policy), 0u);
-  EXPECT_GT(off.taps.ipsec->consumed_n, 0u);
-  EXPECT_GT(off.taps.stats_a->judged, 0u);
-  EXPECT_GT(off.taps.stats_b->judged, 0u);
+  EXPECT_GT(ref.taps.ipsec->consumed_n, 0u);
+  EXPECT_GT(ref.taps.stats_a->judged, 0u);
+  EXPECT_GT(ref.taps.stats_b->judged, 0u);
   if (icmp_errors) {
     EXPECT_GT(ca.icmp_errors_sent, 0u);
-  }
-
-  // Byte-identical egress in identical order on both interfaces (if0
-  // carries re-entered ICMP errors when enabled).
-  for (pkt::IfIndex ifx : {pkt::IfIndex{0}, pkt::IfIndex{1}}) {
-    auto oa = off.drain(ifx);
-    auto ob = on.drain(ifx);
-    ASSERT_EQ(oa.size(), ob.size()) << "iface " << ifx;
-    for (std::size_t i = 0; i < oa.size(); ++i)
-      EXPECT_EQ(oa[i], ob[i]) << "iface " << ifx << " packet " << i;
   }
 }
 
 TEST(GateBatch, GroupedMatchesPerPacket) {
-  expect_equivalent(kRuntimeOrder, /*fused=*/false, /*icmp_errors=*/false);
+  expect_equivalent(kPermutedOrder, /*t3_order=*/false,
+                    /*icmp_errors=*/false);
 }
 
 TEST(GateBatch, FusedChainMatchesPerPacket) {
-  expect_equivalent(kFusedOrder, /*fused=*/true, /*icmp_errors=*/false);
+  expect_equivalent(kT3Order, /*t3_order=*/true, /*icmp_errors=*/false);
 }
 
 TEST(GateBatch, IcmpReentryMatchesPerPacket) {
-  expect_equivalent(kFusedOrder, /*fused=*/true, /*icmp_errors=*/true);
-  expect_equivalent(kRuntimeOrder, /*fused=*/false, /*icmp_errors=*/true);
+  expect_equivalent(kT3Order, /*t3_order=*/true, /*icmp_errors=*/true);
+  expect_equivalent(kPermutedOrder, /*t3_order=*/false,
+                    /*icmp_errors=*/true);
+}
+
+// The grouped tail used to read each packet's flow record through a pointer
+// taken before the chunk's first tail ran. The first packet below has no
+// route, so its tail emits an ICMP error that re-enters process() and
+// creates a fifth flow in a table with room for four; the table grows,
+// every record moves, and the next packet's routing-gate read used to land
+// in freed memory.
+TEST(GateBatch, IcmpErrorThatGrowsFlowTableMidChunk) {
+  aiu::Aiu::Options four_flows;
+  four_flows.initial_flows = 4;
+  Rig ref(kT3Order, /*icmp_errors=*/true, four_flows);
+  Rig dut(kT3Order, /*icmp_errors=*/true, four_flows);
+  // A DRR bound at the sched gate for every flow, so the tail reads the
+  // routing and sched bindings off each packet's record.
+  auto bind_drr = [](Rig& r) {
+    r.pcu.register_plugin(std::make_unique<sched::DrrPlugin>());
+    plugin::InstanceId id = plugin::kNoInstance;
+    r.pcu.find("drr")->create_instance({}, id);
+    plugin::PluginInstance* inst = r.pcu.find("drr")->instance(id);
+    r.aiu->create_filter(PluginType::sched,
+                         *aiu::Filter::parse("<*, *, *, *, *, *>"), inst);
+    return static_cast<OutputScheduler*>(inst);
+  };
+  OutputScheduler* ref_drr = bind_drr(ref);
+  OutputScheduler* dut_drr = bind_drr(dut);
+
+  std::vector<pkt::PacketPtr> a, b;
+  a.push_back(udp(1, "99.0.0.5", 64, 9000));  // no route: ICMP error
+  a.push_back(udp(2, "20.0.0.5", 64, 9000));
+  a.push_back(udp(3, "20.0.1.5", 64, 9000));
+  a.push_back(udp(4, "20.0.0.6", 64, 9000));
+  for (const auto& p : a) b.push_back(pkt::clone_packet(*p));
+  process_one_at_a_time(*ref.core, a);
+  dut.core->process_burst(b);
+
+  const CoreCounters& cc = dut.core->counters();
+  expect_counters_equal(ref.core->counters(), cc);
+  EXPECT_EQ(cc.received, 5u);
+  EXPECT_EQ(cc.forwarded, 4u);
+  EXPECT_EQ(cc.icmp_errors_sent, 1u);
+  EXPECT_EQ(cc.fused_bursts, 1u);  // the grouped engine took the chunk
+  EXPECT_GT(dut.aiu->flow_table().capacity(), 4u);  // and the table grew
+  expect_taps_equal(ref.taps, dut.taps);
+
+  // Both schedulers hold the error and the three forwards, in one order.
+  auto drain = [](OutputScheduler* q) {
+    std::vector<std::vector<std::uint8_t>> out;
+    while (auto p = q->dequeue(0))
+      out.emplace_back(p->data(), p->data() + p->size());
+    return out;
+  };
+  const auto ra = drain(ref_drr);
+  EXPECT_EQ(ra.size(), 4u);
+  EXPECT_EQ(ra, drain(dut_drr));
 }
 
 // A plugin without handle_burst must go through the default shim with
@@ -429,14 +506,13 @@ TEST(GateBatch, DefaultShimMatchesPerPacket) {
     std::unique_ptr<IpCore> core;
     ShimOnlyInstance* inst{nullptr};
 
-    explicit Stack(bool batch) {
+    Stack() {
       aiu = std::make_unique<aiu::Aiu>(pcu, clock);
       ifs.add("if0");
       ifs.add("if1");
       routes.add(*netbase::IpPrefix::parse("20.0.0.0/8"), {1, {}});
       CoreConfig cfg;
-      cfg.input_gates = kFusedOrder;
-      cfg.batch_gates = batch;
+      cfg.input_gates = kT3Order;
       core = std::make_unique<IpCore>(*aiu, routes, ifs, clock, cfg);
       pcu.register_plugin(
           std::make_unique<ShimOnlyPlugin>("shim", PluginType::ipopt));
@@ -447,7 +523,7 @@ TEST(GateBatch, DefaultShimMatchesPerPacket) {
                          *aiu::Filter::parse("<*, *, *, *, *, *>"), inst);
     }
   };
-  Stack off(false), on(true);
+  Stack ref, dut;
 
   std::vector<pkt::PacketPtr> a, b;
   for (int i = 0; i < 96; ++i) {
@@ -456,22 +532,21 @@ TEST(GateBatch, DefaultShimMatchesPerPacket) {
     a.push_back(pkt::clone_packet(*p));
     b.push_back(std::move(p));
   }
-  for (std::size_t o = 0; o < a.size(); o += 32) {
-    off.core->process_burst({a.data() + o, 32});
-    on.core->process_burst({b.data() + o, 32});
-  }
+  process_one_at_a_time(*ref.core, a);
+  for (std::size_t o = 0; o < b.size(); o += 32)
+    dut.core->process_burst({b.data() + o, 32});
 
-  expect_counters_equal(off.core->counters(), on.core->counters());
-  EXPECT_EQ(off.inst->calls, on.inst->calls);
-  EXPECT_GT(off.inst->calls, 0u);
-  EXPECT_GT(on.core->counters().gate_groups, 0u);  // shimmed, still grouped
+  expect_counters_equal(ref.core->counters(), dut.core->counters());
+  EXPECT_EQ(ref.inst->calls, dut.inst->calls);
+  EXPECT_GT(ref.inst->calls, 0u);
+  EXPECT_GT(dut.core->counters().gate_groups, 0u);  // shimmed, still grouped
 }
 
 // Full same-flow bursts: exact group accounting. 3 bound gates x 2 chunks
 // of 32 identical-flow packets = 6 groups of 32, all in the 17+ bucket,
-// and every chunk taken by the fused chain.
+// and every chunk taken by the grouped engine.
 TEST(GateBatch, GroupCountersExact) {
-  Rig rig(true, kFusedOrder);
+  Rig rig(kT3Order);
   std::vector<pkt::PacketPtr> batch;
   for (int i = 0; i < 64; ++i) batch.push_back(udp(1, "20.0.0.5", 64, 9000));
   rig.core->process_burst({batch.data(), 32});
@@ -489,8 +564,8 @@ TEST(GateBatch, GroupCountersExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded differential: batch-off single stack vs batch-on N-worker
-// ShardedDatapath on the same seeded trace. The suite name keeps these
+// Sharded differential: a single stack fed one packet at a time vs an
+// N-worker ShardedDatapath on the same seeded trace. The suite name keeps these
 // under ctest's parallel-diff-tsan label, so grouped dispatch runs under
 // TSan against real worker threads. Per-flow dispositions are compared as
 // multisets: the grouped path may retire a chunk's drops before its
@@ -537,7 +612,7 @@ void expect_flowmaps_equal(FlowMap& ref, FlowMap& dut) {
   ASSERT_EQ(ref.size(), dut.size());
   for (auto& [key, a] : ref) {
     auto it = dut.find(key);
-    ASSERT_NE(it, dut.end()) << "flow missing in batch-on path: " << key;
+    ASSERT_NE(it, dut.end()) << "flow missing in the sharded path: " << key;
     FlowObs& b = it->second;
     EXPECT_EQ(a.packets, b.packets) << key;
     EXPECT_EQ(a.bytes, b.bytes) << key;
@@ -548,10 +623,9 @@ void expect_flowmaps_equal(FlowMap& ref, FlowMap& dut) {
   }
 }
 
-parallel::ShardOptions gb_shard_options(bool batch_gates) {
+parallel::ShardOptions gb_shard_options() {
   parallel::ShardOptions opt;
-  opt.core.input_gates = kFusedOrder;
-  opt.core.batch_gates = batch_gates;
+  opt.core.input_gates = kT3Order;
   opt.telemetry.sample_every = 1;  // trace every classified packet
   opt.telemetry.trace_ring = 4096;
   opt.telemetry.memory_sink_cap = 4096;
@@ -574,20 +648,12 @@ void run_gb_shard_diff(std::uint32_t workers, std::uint64_t seed) {
                " seed=" + std::to_string(seed));
   auto trace = make_trace(seed, 600);
 
-  // ---- reference: one private stack, batch_gates OFF ----
-  parallel::ShardContext ref(0, gb_shard_options(false));
+  // ---- reference: one private stack, one packet per process() call ----
+  parallel::ShardContext ref(0, gb_shard_options());
   JudgeTaps ref_taps = setup_shard_stack(ref);
   FlowMap ref_map;
   {
-    std::vector<pkt::PacketPtr> burst;
-    for (const auto& p : trace) {
-      burst.push_back(pkt::clone_packet(*p));
-      if (burst.size() == 32) {
-        ref.core().process_burst(burst);
-        burst.clear();
-      }
-    }
-    if (!burst.empty()) ref.core().process_burst(burst);
+    for (const auto& p : trace) ref.core().process(pkt::clone_packet(*p));
     for (pkt::IfIndex ifx : {pkt::IfIndex{0}, pkt::IfIndex{1}})
       while (auto p = ref.core().next_for_tx(ifx, ref.clock().now()))
         record_egress(ref_map, p->data(), p->size());
@@ -597,12 +663,12 @@ void run_gb_shard_diff(std::uint32_t workers, std::uint64_t seed) {
     record_traces(ref_map, ref.telemetry().traces());
   }
 
-  // ---- device under test: N workers, batch_gates ON ----
+  // ---- device under test: N workers, chunked ----
   std::vector<JudgeTaps> taps(workers);
   parallel::ShardedDatapath::Options opt;
   opt.workers = workers;
   opt.ring_capacity = 256;
-  opt.shard = gb_shard_options(true);
+  opt.shard = gb_shard_options();
   parallel::ShardedDatapath dp(opt, [&taps](parallel::ShardContext& ctx) {
     taps[ctx.id()] = setup_shard_stack(ctx);
   });
@@ -665,9 +731,9 @@ TEST(ShardDiff, GateBatchFourWorkersMatchPerPacket) {
 
 // ---------------------------------------------------------------------------
 // Adversarial differential: identically-seeded AdversarialGen streams
-// through a batch-on (fused) core and a batch-off core; counters and
-// egress must stay identical packet for packet. The suite name keeps this
-// under ctest's fuzz label.
+// through a chunked core and a one-packet-at-a-time core, for both gate
+// orders; counters and egress must stay identical packet for packet. The
+// suite name keeps this under ctest's fuzz label.
 
 struct FuzzStack {
   netbase::SimClock clock;
@@ -678,7 +744,7 @@ struct FuzzStack {
   std::unique_ptr<IpCore> core;
   JudgeInstance* taps[3] = {};
 
-  explicit FuzzStack(bool batch_gates) {
+  explicit FuzzStack(const std::vector<PluginType>& order) {
     aiu = std::make_unique<aiu::Aiu>(pcu, clock);
     ifs.add("if0");
     ifs.add("if1");
@@ -688,56 +754,57 @@ struct FuzzStack {
     routes.add(*netbase::IpPrefix::parse("::/0"), {1, {}});
 
     CoreConfig cfg;
-    cfg.input_gates = kFusedOrder;
-    cfg.batch_gates = batch_gates;
+    cfg.input_gates = order;
     core = std::make_unique<IpCore>(*aiu, routes, ifs, clock, cfg);
     const char* names[] = {"f1", "f2", "f3"};
     for (std::size_t g = 0; g < 3; ++g)
-      taps[g] = add_judge(pcu, *aiu, names[g], kFusedOrder[g], 0, 0,
+      taps[g] = add_judge(pcu, *aiu, names[g], order[g], 0, 0,
                           "<*, *, *, *, *, *>");
   }
 };
 
 TEST(WireFuzz, GateBatchFusedDifferential) {
-  for (std::uint64_t seed : {1ull, 42ull}) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    FuzzStack off(false), on(true);
-    tgen::AdversarialGen ga(seed), gb(seed);
+  for (const auto* order : {&kT3Order, &kPermutedOrder})
+    for (std::uint64_t seed : {1ull, 42ull}) {
+      SCOPED_TRACE(std::string(order == &kT3Order ? "t3" : "permuted") +
+                   " order, seed=" + std::to_string(seed));
+      FuzzStack ref(*order), dut(*order);
+      tgen::AdversarialGen ga(seed), gb(seed);
 
-    constexpr std::size_t kPackets = 25000;
-    std::vector<pkt::PacketPtr> a(32), b(32);
-    for (std::size_t done = 0; done < kPackets; done += 32) {
-      for (std::size_t i = 0; i < 32; ++i) {
-        a[i] = ga.next();
-        b[i] = gb.next();
-      }
-      off.core->process_burst(a);
-      on.core->process_burst(b);
-      // Drain and compare in lockstep so the port FIFOs never overflow
-      // and a divergence is reported at the burst that caused it.
-      for (pkt::IfIndex ifx : {pkt::IfIndex{0}, pkt::IfIndex{1}}) {
-        for (;;) {
-          auto pa = off.core->next_for_tx(ifx, 0);
-          auto pb = on.core->next_for_tx(ifx, 0);
-          ASSERT_EQ(pa != nullptr, pb != nullptr)
-              << "egress count diverged at packet " << done;
-          if (!pa) break;
-          ASSERT_EQ(std::vector<std::uint8_t>(pa->data(),
-                                              pa->data() + pa->size()),
-                    std::vector<std::uint8_t>(pb->data(),
-                                              pb->data() + pb->size()))
-              << "egress bytes diverged at packet " << done;
+      constexpr std::size_t kPackets = 25000;
+      std::vector<pkt::PacketPtr> a(32), b(32);
+      for (std::size_t done = 0; done < kPackets; done += 32) {
+        for (std::size_t i = 0; i < 32; ++i) {
+          a[i] = ga.next();
+          b[i] = gb.next();
+        }
+        process_one_at_a_time(*ref.core, a);
+        dut.core->process_burst(b);
+        // Drain and compare in lockstep so the port FIFOs never overflow
+        // and a divergence is reported at the burst that caused it.
+        for (pkt::IfIndex ifx : {pkt::IfIndex{0}, pkt::IfIndex{1}}) {
+          for (;;) {
+            auto pa = ref.core->next_for_tx(ifx, 0);
+            auto pb = dut.core->next_for_tx(ifx, 0);
+            ASSERT_EQ(pa != nullptr, pb != nullptr)
+                << "egress count diverged at packet " << done;
+            if (!pa) break;
+            ASSERT_EQ(std::vector<std::uint8_t>(pa->data(),
+                                                pa->data() + pa->size()),
+                      std::vector<std::uint8_t>(pb->data(),
+                                                pb->data() + pb->size()))
+                << "egress bytes diverged at packet " << done;
+          }
         }
       }
-    }
 
-    expect_counters_equal(off.core->counters(), on.core->counters());
-    for (std::size_t g = 0; g < 3; ++g)
-      EXPECT_EQ(off.taps[g]->judged, on.taps[g]->judged) << "gate " << g;
-    EXPECT_GT(on.core->counters().gate_groups, 0u);
-    EXPECT_GT(on.core->counters().fused_bursts, 0u);
-    EXPECT_GT(off.core->counters().forwarded, 0u);
-  }
+      expect_counters_equal(ref.core->counters(), dut.core->counters());
+      for (std::size_t g = 0; g < 3; ++g)
+        EXPECT_EQ(ref.taps[g]->judged, dut.taps[g]->judged) << "gate " << g;
+      EXPECT_GT(dut.core->counters().gate_groups, 0u);
+      EXPECT_GT(dut.core->counters().fused_bursts, 0u);
+      EXPECT_GT(ref.core->counters().forwarded, 0u);
+    }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Unit tests for the simulated NIC / interface table and the workload
-// generators (determinism, Zipf skew, filter validity).
+// generators (determinism, Zipf skew, filter validity, pinned route churn).
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "netdev/iftable.hpp"
+#include "tgen/churn.hpp"
 #include "tgen/workload.hpp"
 
 namespace rp {
@@ -154,6 +155,62 @@ TEST(Tgen, MergeSortsByTime) {
   ASSERT_EQ(merged.size(), 6u);
   for (std::size_t i = 1; i < merged.size(); ++i)
     EXPECT_LE(merged[i - 1].t, merged[i].t);
+}
+
+// FNV-1a over every field route_churn emits: base prefixes with their hops,
+// then each batch's ops in order, with the batch boundaries.
+std::uint64_t churn_digest(const tgen::RouteChurn& c) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  auto mix_prefix = [&mix](const netbase::IpPrefix& p) {
+    mix(p.addr.key().hi);
+    mix(p.addr.key().lo);
+    mix(p.len);
+  };
+  mix(c.base.size());
+  for (std::size_t i = 0; i < c.base.size(); ++i) {
+    mix_prefix(c.base[i]);
+    mix(c.base_hops[i].out_iface);
+  }
+  mix(c.batches.size());
+  for (const auto& batch : c.batches) {
+    mix(batch.size());
+    for (const auto& op : batch) {
+      mix(static_cast<std::uint64_t>(op.kind));
+      mix_prefix(op.prefix);
+      mix(op.hop.out_iface);
+    }
+  }
+  return h;
+}
+
+// The churn streams feed routerbench and the churn tests; a change to the
+// generator's internals (its live-set index) must not change one byte of
+// what it emits. Digests were taken from the std::map-indexed generator.
+TEST(Tgen, RouteChurnStreamIsPinned) {
+  tgen::RouteChurnSpec v4;
+  v4.base_prefixes = 20000;
+  v4.ops = 6000;
+  v4.min_len = 8;
+  v4.max_len = 28;
+  v4.seed = 0x7217;
+  tgen::RouteChurnSpec v6;
+  v6.base_prefixes = 5000;
+  v6.ops = 3000;
+  v6.batch_size = 50;
+  v6.ver = netbase::IpVersion::v6;
+  v6.min_len = 32;
+  v6.max_len = 64;
+  v6.seed = 99;
+  const std::uint64_t d4 = churn_digest(tgen::route_churn(v4));
+  const std::uint64_t d6 = churn_digest(tgen::route_churn(v6));
+  EXPECT_EQ(d4, 0xe35e02aeddd16158ULL);
+  EXPECT_EQ(d6, 0x0a79567f628f4253ULL);
 }
 
 }  // namespace

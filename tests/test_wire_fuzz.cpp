@@ -15,7 +15,9 @@
 #include "core/router.hpp"
 #include "parallel/sharded_datapath.hpp"
 #include "pkt/builder.hpp"
+#include "pkt/headers.hpp"
 #include "pkt/reassembly.hpp"
+#include "pkt/sanitize.hpp"
 #include "tgen/adversarial.hpp"
 
 namespace rp {
@@ -116,6 +118,64 @@ TEST(WireFuzz, CleanTrafficStillForwards) {
 
 // Every v4 mutant is also fed to the reassembler, which must neither crash
 // nor let adversarial series grow its state past the configured budgets.
+// The core's single-pass check (pkt::accept_common_ipv4) against the generic
+// sequence it short-cuts: sanitize_packet, extract_flow_key, the IPv4
+// header checksum and TTL > 1 (v6: hop limit > 1). On every mutant, v4 and
+// v6, the single pass may accept only what the generic sequence accepts,
+// and must then leave the same bytes, size, key, L4 offset and trim flag;
+// when it declines, the packet must be untouched.
+bool generic_accept(pkt::Packet& p, bool& trimmed) {
+  if (pkt::sanitize_packet(p, trimmed) != pkt::SanitizeCheck::ok) return false;
+  if (!pkt::extract_flow_key(p)) return false;
+  const std::uint8_t* h = p.data();
+  if (p.ip_version == netbase::IpVersion::v4)
+    return pkt::Ipv4Header::verify_checksum(
+               {h, static_cast<std::size_t>(h[0] & 0x0f) * 4}) &&
+           h[8] > 1;
+  return h[7] > 1;
+}
+
+std::vector<std::uint8_t> bytes_of(const pkt::Packet& p) {
+  return {p.data(), p.data() + p.size()};
+}
+
+TEST(WireFuzz, SinglePassValidatorMatchesGenericChecks) {
+  std::uint64_t fast = 0, generic_only = 0, v4 = 0, v6 = 0;
+  for (std::uint64_t seed : kSeeds) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    tgen::AdversarialGen gen(seed);
+    for (std::size_t i = 0; i < kPacketsPerSeed; ++i) {
+      const pkt::PacketPtr m = gen.next();
+      if (m->size() > 0) ((m->data()[0] >> 4) == 6 ? v6 : v4) += 1;
+      auto a = pkt::clone_packet(*m);
+      auto b = pkt::clone_packet(*m);
+      bool ta = false, tb = false;
+      const bool fa = pkt::accept_common_ipv4(*a, ta);
+      const bool gb = generic_accept(*b, tb);
+      if (!fa) {
+        if (gb) ++generic_only;
+        if (bytes_of(*a) != bytes_of(*m) || a->key_valid != m->key_valid)
+          ADD_FAILURE() << "REPLAY: seed=" << seed << " case=" << i
+                        << " declined packet was modified";
+        continue;
+      }
+      ++fast;
+      if (!gb || bytes_of(*a) != bytes_of(*b) || a->size() != b->size() ||
+          !(a->key == b->key) || a->key_valid != b->key_valid ||
+          a->ip_version != b->ip_version || a->l4_offset != b->l4_offset ||
+          ta != tb)
+        ADD_FAILURE() << "REPLAY: seed=" << seed << " case=" << i
+                      << " kind=" << tgen::to_string(gen.last_kind())
+                      << " generic_accept=" << gb << " trimmed=" << ta << "/"
+                      << tb;
+    }
+  }
+  EXPECT_GT(fast, 0u);
+  EXPECT_GT(generic_only, 0u);
+  EXPECT_GT(v4, 0u);
+  EXPECT_GT(v6, 0u);
+}
+
 TEST(WireFuzz, ReassemblerSoakBoundedState) {
   for (std::uint64_t seed : kSeeds) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
