@@ -16,7 +16,9 @@ fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 
 echo "== tier 1: build + tests (RelWithDebInfo) =="
-cmake -S "$repo" -B "$repo/build" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+# Warnings are errors here, so the tier-1 build stays warning-free.
+cmake -S "$repo" -B "$repo/build" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -LE bench-smoke
 

@@ -49,13 +49,14 @@ class LpmEngine {
   // own prefix store, so callers keep no second copy of the prefix set.
   virtual bool find(U128 key, std::uint8_t plen, LpmValue& out) const = 0;
 
-  // Force any deferred (lazy) rebuild now, on the control path, so the
-  // next lookup pays nothing. Engines with incremental mutation keep the
-  // default no-op; engines that rebuild lazily on the first dirty lookup
-  // (bsl) override it. RoutingTable::apply_batch calls it; the DAG
-  // classifier's build and patch do not yet, so a newly built DAG node's
-  // bsl engine still rebuilds on its first packet lookup (ROADMAP.md, first
-  // open item).
+  // Run any deferred build now, on the control path, so the next lookup
+  // pays nothing. Engines that apply every update in place keep the
+  // default no-op. bsl overrides it: it updates in place while its set of
+  // prefix lengths stays the same, and defers a full build to its next
+  // lookup when that set changes or it was never built.
+  // RoutingTable::apply_batch calls it; the DAG classifier's build and
+  // patch do not yet, so a newly built DAG node's bsl engine is still built
+  // on its first packet lookup (ROADMAP.md, first open item).
   virtual void prepare() {}
 
   virtual std::string_view name() const = 0;

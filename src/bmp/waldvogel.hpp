@@ -9,9 +9,14 @@
 // ceil(log2(#lengths)) hash probes per lookup — 5 for IPv4, 7 for IPv6,
 // exactly the Table 2 accounting (2 * log2(W) / 2 accesses per address).
 //
-// Mutations update a raw prefix set and mark the search structure dirty; it
-// is rebuilt lazily on the next lookup (classifier/routing updates are
-// control-path operations in the paper's architecture).
+// An insert or remove that keeps the set of present lengths is applied in
+// place: it touches the prefix's own entry, the markers on its search path
+// (each entry counts the prefixes whose path marks it) and the best matches
+// of the entries beneath it. One that adds or empties a length marks the
+// tables dirty; they are rebuilt from the prefix set by prepare() or the
+// next lookup (route and filter updates are control-path operations in the
+// paper's architecture). Either way the tables, markers and best matches
+// are exactly those a fresh build of the same prefixes produces.
 #pragma once
 
 #include <map>
@@ -44,6 +49,10 @@ class WaldvogelBsl final : public LpmEngine {
   // Worst-case hash probes for the current table (diagnostics/benches).
   unsigned max_probes() const;
 
+  // Number of from-scratch builds so far: the first one, then one per
+  // update that added or emptied a prefix length. Tests assert on it.
+  std::size_t rebuild_count() const noexcept { return rebuilds_; }
+
  private:
   struct KeyHash {
     std::size_t operator()(const U128& k) const noexcept {
@@ -54,26 +63,56 @@ class WaldvogelBsl final : public LpmEngine {
     }
   };
 
+  // A prefix, a marker, or both. A prefix's best match is itself.
   struct Entry {
-    bool is_prefix{false};
-    LpmValue value{0};
-    bool has_bmp{false};
     LpmMatch bmp{};
+    std::uint32_t markers{0};  // prefixes whose search path marks this key
+    bool is_prefix{false};
+    bool has_bmp{false};
   };
 
   using LengthTable = std::unordered_map<U128, Entry, KeyHash>;
   using PrefixMap = std::map<std::pair<U128, std::uint8_t>, LpmValue>;
 
+  struct Level {
+    std::uint8_t len{0};
+    std::uint32_t prefixes{0};  // real prefixes of this length
+    LengthTable table;
+  };
+
   void rebuild() const;
+  // Index of the level holding length `plen`, or levels_.size() if none.
+  std::size_t level_of(std::uint8_t plen) const;
+  // The lookup's binary search over the levels: probe(level) returns the
+  // entry that the search finds at that level, or null for a miss. `out` is
+  // written only on a match.
+  template <class Probe>
+  bool descend(LpmMatch& out, Probe&& probe) const;
+  // The entry for `key` at `level` (host bits ignored), or null.
+  const Entry* entry(std::size_t level, const U128& key) const;
+  // The best match for `key` among lengths shorter than levels_[below].len:
+  // the lookup's search with every level at or above `below` treated as a
+  // miss. Control path: counts no MemAccess.
+  bool best_below(const U128& key, std::size_t below, LpmMatch& out) const;
+  // Adds (key, levels_[target].len) with its path markers; each new
+  // marker's best match is searched from the shorter levels.
+  void place(const U128& key, std::size_t target, LpmValue value) const;
+  // Undoes place(): the prefix's entry stays as a marker with best match
+  // `fallback` while other paths still mark it.
+  void unplace(const U128& key, std::size_t target, bool has_fallback,
+               LpmMatch fallback);
+  // Calls f(entry) for every entry longer than `plen` under (key, plen):
+  // the entries and path markers of the prefixes in raw_'s key range.
+  template <class F>
+  void for_each_under(const U128& key, std::uint8_t plen, F&& f);
 
   unsigned width_;
-  PrefixMap raw_;
-
+  bool has_default_{false};
   mutable bool dirty_{true};
-  mutable std::vector<std::uint8_t> lengths_;   // sorted, ascending, no 0
-  mutable std::vector<LengthTable> tables_;     // parallel to lengths_
-  mutable bool has_default_{false};
-  mutable LpmValue default_value_{0};
+  LpmValue default_value_{0};
+  PrefixMap raw_;
+  mutable std::vector<Level> levels_;  // ascending length, no 0
+  mutable std::size_t rebuilds_{0};
 };
 
 }  // namespace rp::bmp

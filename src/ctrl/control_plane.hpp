@@ -8,8 +8,9 @@
 // quiesce hook — so workers never observe a half-applied update and nothing
 // on the packet path takes a lock. for_each_stack() is that one iteration;
 // each operation below is one visit of it:
-//   * route batches   -> RoutingTable::apply_batch per stack (incremental
-//     CPE maintenance / eager bsl rebuild, never on the packet path);
+//   * route batches   -> RoutingTable::apply_batch per stack (in-place
+//     engine updates; a bsl build when a prefix length appears or empties,
+//     never on the packet path);
 //   * filter batches  -> Aiu::apply_filter_batch per stack (DAG patching +
 //     selective flow invalidation instead of rebuild + full flush);
 //   * upgrades        -> Aiu::handoff_instance per stack (filter rebind +

@@ -244,7 +244,7 @@ bool extract_flow_key(Packet& p) noexcept {
         if (ulen < UdpHeader::kSize || l4 + ulen > limit) return false;
       } else {
         if (l4 + TcpHeader::kMinSize > limit) return false;
-        const std::size_t doff = std::size_t{b[l4 + 12] >> 4} * 4;
+        const std::size_t doff = static_cast<std::size_t>(b[l4 + 12] >> 4) * 4;
         if (doff < TcpHeader::kMinSize || l4 + doff > limit) return false;
       }
     }

@@ -15,7 +15,7 @@ SanitizeCheck check_l4(std::span<const std::uint8_t> b, std::uint8_t proto,
                        std::size_t l4, std::size_t limit) noexcept {
   if (proto == static_cast<std::uint8_t>(IpProto::tcp)) {
     if (l4 + TcpHeader::kMinSize > limit) return SanitizeCheck::l4_tcp;
-    const std::size_t doff = std::size_t{b[l4 + 12] >> 4} * 4;
+    const std::size_t doff = static_cast<std::size_t>(b[l4 + 12] >> 4) * 4;
     if (doff < TcpHeader::kMinSize || l4 + doff > limit)
       return SanitizeCheck::l4_tcp;
   } else if (proto == static_cast<std::uint8_t>(IpProto::udp)) {
@@ -56,7 +56,7 @@ SanitizeCheck sanitize_packet(Packet& p, bool& trimmed) noexcept {
   const unsigned ver = b[0] >> 4;
   if (ver == 4) {
     if (b.size() < Ipv4Header::kMinSize) return SanitizeCheck::v4_header;
-    const std::size_t hlen = std::size_t{b[0] & 0x0f} * 4;
+    const std::size_t hlen = static_cast<std::size_t>(b[0] & 0x0f) * 4;
     if (hlen < Ipv4Header::kMinSize || hlen > b.size())
       return SanitizeCheck::v4_header;
     const std::size_t total_len = load_be16(&b[2]);

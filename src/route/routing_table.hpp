@@ -10,9 +10,10 @@
 // the hop record in place without touching the BMP engine, withdrawn
 // prefixes recycle their hop slots through a free list so the table stays
 // flat under add/withdraw cycling, and apply_batch() applies a whole update
-// burst followed by one prepare() so lazily-rebuilt engines never stall the
-// packet path. The engines' own prefix stores are the only copy of the
-// prefix set: a prefix's hop id is the value its engine holds for it.
+// burst followed by one prepare(), so an engine's deferred build (bsl, after
+// an update that adds or empties a prefix length) never stalls the packet
+// path. The engines' own prefix stores are the only copy of the prefix set:
+// a prefix's hop id is the value its engine holds for it.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +65,8 @@ class RoutingTable {
     return apply_batch(ops.data(), ops.size());
   }
 
-  // Force any deferred engine rebuild now (no-op for incremental engines).
+  // Runs any deferred engine build now: a no-op unless a bsl engine was
+  // never built or an update changed its set of prefix lengths.
   void prepare();
 
   // Longest-prefix-match route lookup.

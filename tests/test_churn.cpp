@@ -12,16 +12,19 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bmp/cpe.hpp"
+#include "bmp/waldvogel.hpp"
 #include "core/router.hpp"
 #include "ctrl/control_plane.hpp"
 #include "mgmt/pmgr.hpp"
 #include "mgmt/register_all.hpp"
 #include "mgmt/rplib.hpp"
+#include "netbase/memaccess.hpp"
 #include "parallel/sharded_datapath.hpp"
 #include "pkt/builder.hpp"
 #include "stats/stats_plugin.hpp"
@@ -209,6 +212,108 @@ TEST_P(RouteChurnProperty, CpeRemoveIsIncrementalAndExact) {
   }
   // The whole sweep must have stayed on the incremental path.
   EXPECT_EQ(trie.rebuild_count(), 0u);
+}
+
+// The bsl engine applies updates at present lengths in place: under
+// add / withdraw / re-add-with-new-value cycling with many covering
+// prefixes, every lookup stays exact and probes the same entries as a
+// freshly built engine (so the marker set is the fresh build's), and the
+// only from-scratch build is the first one.
+TEST_P(RouteChurnProperty, BslUpdatesAtPresentLengthsAreIncrementalAndExact) {
+  static_assert(sizeof(bmp::WaldvogelBsl) <= 128);
+  const std::uint64_t seed = GetParam();
+  for (const unsigned width : {32u, 128u}) {
+    SCOPED_TRACE("width=" + std::to_string(width) +
+                 " seed=" + std::to_string(seed));
+    Rng rng(seed * 0x2545'f491 + width);
+    auto random_key = [&rng, width] {
+      return width == 32 ? U128{rng.next() & 0xffff'ffff'0000'0000ULL, 0}
+                         : U128{rng.next(), rng.next()};
+    };
+    std::vector<std::uint8_t> lens;
+    while (lens.size() < 10) {
+      const auto len = static_cast<std::uint8_t>(1 + rng.below(width));
+      if (std::find(lens.begin(), lens.end(), len) == lens.end())
+        lens.push_back(len);
+    }
+    // Keys share a common root down to a random present length, so prefixes
+    // nest: each one covers or is covered by many others.
+    const U128 root = random_key();
+    auto nested = [&](std::uint8_t len) {
+      const U128 keep = U128::prefix_mask(lens[rng.below(lens.size())]);
+      const U128 k = (root & keep) | (random_key() & ~keep);
+      return std::make_pair(k & U128::prefix_mask(len), len);
+    };
+
+    // One anchor per length keeps the length set fixed; with the default
+    // route they are never withdrawn.
+    std::set<std::pair<U128, std::uint8_t>> anchors{{U128{}, 0}};
+    for (const std::uint8_t len : lens) anchors.insert(nested(len));
+    bmp::WaldvogelBsl bsl(width);
+    std::map<std::pair<U128, std::uint8_t>, bmp::LpmValue> raw;
+    bmp::LpmValue next_value = 1;
+    for (const auto& [key, plen] : anchors) {
+      raw[{key, plen}] = next_value;
+      ASSERT_EQ(bsl.insert(key, plen, next_value++), Status::ok);
+    }
+    bsl.prepare();
+    std::vector<std::pair<U128, std::uint8_t>> universe;
+    while (universe.size() < 120) {
+      const auto p = nested(lens[rng.below(lens.size())]);
+      if (!anchors.count(p)) universe.push_back(p);
+    }
+
+    auto brute = [&raw](U128 key) -> std::optional<bmp::LpmMatch> {
+      std::optional<bmp::LpmMatch> best;
+      for (const auto& [k, v] : raw) {
+        if ((key & U128::prefix_mask(k.second)) != k.first) continue;
+        if (!best || k.second >= best->plen) best = bmp::LpmMatch{v, k.second};
+      }
+      return best;
+    };
+
+    for (int op = 0; op < 800; ++op) {
+      const auto& [key, plen] = universe[rng.below(universe.size())];
+      const auto it = raw.find({key, plen});
+      if (it != raw.end() && rng.chance(0.7)) {
+        ASSERT_EQ(bsl.remove(key, plen), Status::ok);
+        raw.erase(it);
+      } else {
+        const bmp::LpmValue v = next_value++;
+        ASSERT_EQ(bsl.insert(key, plen, v), Status::ok);
+        raw[{key, plen}] = v;
+      }
+      bsl.prepare();
+      ASSERT_EQ(bsl.size(), raw.size());
+
+      bmp::WaldvogelBsl fresh(width);
+      for (const auto& [k, v] : raw) fresh.insert(k.first, k.second, v);
+      fresh.prepare();
+      for (int probe = 0; probe < 16; ++probe) {
+        const auto& u = universe[rng.below(universe.size())];
+        const U128 key_p =
+            probe % 4 == 0
+                ? random_key()
+                : u.first | (random_key() & ~U128::prefix_mask(u.second));
+        bmp::LpmMatch got{};
+        netbase::MemAccess::reset();
+        const bool hit = bsl.lookup(key_p, got);
+        const std::uint64_t accesses = netbase::MemAccess::total();
+        bmp::LpmMatch unused{};
+        netbase::MemAccess::reset();
+        fresh.lookup(key_p, unused);
+        ASSERT_EQ(accesses, netbase::MemAccess::total())
+            << "op " << op << " probe " << probe;
+        const auto want = brute(key_p);
+        ASSERT_EQ(hit, want.has_value()) << "op " << op;
+        if (want) {
+          ASSERT_EQ(got.plen, want->plen) << "op " << op;
+          ASSERT_EQ(got.value, want->value) << "op " << op;
+        }
+      }
+    }
+    EXPECT_EQ(bsl.rebuild_count(), 1u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouteChurnProperty,
@@ -784,8 +889,9 @@ void run_shard_churn(std::uint32_t workers, std::uint64_t seed) {
                                    1000 + rng.below(32))));
       ++submitted;
     }
-    if (round < rchurn.batches.size())
+    if (round < rchurn.batches.size()) {
       ASSERT_EQ(cp.apply_route_batch(rchurn.batches[round]).failed, 0u);
+    }
     if (round < fchurn.batches.size()) {
       std::vector<ctrl::FilterSpecOp> ops;
       for (const auto& op : fchurn.batches[round])
@@ -837,9 +943,10 @@ void run_shard_churn(std::uint32_t workers, std::uint64_t seed) {
       const route::NextHop* got = dp.worker(w).ctx().routes().lookup(dst);
       ASSERT_EQ(want != nullptr, got != nullptr)
           << "shard " << w << " dst " << dst.to_string();
-      if (want)
+      if (want) {
         EXPECT_EQ(want->out_iface, got->out_iface)
             << "shard " << w << " dst " << dst.to_string();
+      }
     }
   }
   // And every shard's filter table converged to the same live set.

@@ -336,7 +336,9 @@ void run_diff(std::uint32_t workers, std::uint64_t seed,
   // Sanity: the seeded trace really exercised every outcome.
   const core::CoreCounters& c = ref.core().counters();
   EXPECT_GT(c.forwarded, 0u);
-  if (!with_eiffel) EXPECT_GT(c.fragments_created, 0u);
+  if (!with_eiffel) {
+    EXPECT_GT(c.fragments_created, 0u);
+  }
   EXPECT_GT(c.dropped(core::DropReason::ttl_expired), 0u);
   EXPECT_GT(c.dropped(core::DropReason::bad_checksum), 0u);
   EXPECT_GT(c.dropped(core::DropReason::malformed), 0u);
