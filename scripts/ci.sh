@@ -125,6 +125,18 @@ echo "== sched fuzz: scheduler differential properties under ASan/UBSan =="
 ASAN_OPTIONS=detect_leaks=1 ctest --test-dir "$repo/build-asan" \
   --output-on-failure -L '^sched-fuzz$'
 
+echo "== dag: classifier differentials under ASan/UBSan =="
+# The in-place DAG patch (docs/control_plane.md §2) frees nodes and filter
+# records as it goes, so a lifetime bug shows only under the sanitizer:
+# patched-equals-fresh (DagPatchProperty), DAG vs linear scan
+# (DagEquivalence, ClassifierProperty), the classifier fuzz and the filter
+# churn differential. Most of these already ran in the lanes above (the
+# fuzz label's FilterFuzz too); re-run them as a named stage so a patch
+# regression is called out by the stage banner.
+ASAN_OPTIONS=detect_leaks=1 ctest --test-dir "$repo/build-asan" \
+  --output-on-failure \
+  -R 'DagPatchProperty|DagEquivalence|ClassifierProperty|FilterFuzz|ChurnDiff\.Filter'
+
 echo "== tier 3: TSan build + parallel/chaos tests =="
 # ThreadSanitizer over everything that runs worker threads: the sharded
 # datapath suites (SPSC rings, epoch reclamation, differential replay,

@@ -37,9 +37,13 @@ void Aiu::install_pcu_hooks() {
         return remove_filter(gate, *f);
       });
   pcu_.add_purge_hook([this](plugin::PluginInstance* inst) {
+    // Flows first: once none is bound to inst, patch() may free its records.
     flows_.purge_instance(inst);
     for (auto& t : tables_)
-      if (t) t->purge_instance(inst);
+      if (t) {
+        t->purge_instance(inst);
+        t->patch();
+      }
   });
   // Verdict-cache offload (L7): clear one flow's binding at the caller's
   // gate so the bound_mask skip makes the gate free for that flow. Fails
@@ -78,6 +82,7 @@ Status Aiu::create_filter(plugin::PluginType gate, const Filter& f,
   // Cached bindings may now be stale; drop them so the next packet of each
   // flow re-runs classification.
   flush_cache();
+  table->patch();
   return Status::ok;
 }
 
@@ -85,7 +90,10 @@ Status Aiu::remove_filter(plugin::PluginType gate, const Filter& f) {
   auto* table = tables_[gate_index(gate)].get();
   if (!table) return Status::not_found;
   Status s = table->remove(f);
-  if (s == Status::ok) flush_cache();
+  if (s == Status::ok) {
+    flush_cache();
+    table->patch();  // no flow holds the removed record any more
+  }
   return s;
 }
 
@@ -108,12 +116,8 @@ Aiu::FilterBatchResult Aiu::apply_filter_batch(std::span<const FilterOp> ops) {
     }
     const std::size_t gi = gate_index(op.gate);
     if (!tables_[gi]) continue;
-    for (const FilterRecord* r : tables_[gi]->records()) {
-      if (r->filter == op.filter) {
-        removed.push_back({gi, r});
-        break;
-      }
-    }
+    if (const FilterRecord* r = tables_[gi]->find(op.filter))
+      removed.push_back({gi, r});
   }
 
   // Phase 2: selective invalidation. Only flows whose classification could
@@ -183,12 +187,13 @@ Aiu::FilterBatchResult Aiu::apply_filter_batch(std::span<const FilterOp> ops) {
     }
   }
 
-  // Phase 4: patch the touched tables now, on the control path (no
-  // from-scratch rebuild). Not stall-free yet: each newly built DAG node's
-  // bsl engine is built on its first lookup, so the next packet pays for
-  // those builds (ROADMAP.md, first open item).
+  // Phase 4: make the touched tables ready on the control path. A built DAG
+  // took every op in place in Phase 3; this prepares the engines those ops
+  // touched and frees the removed records, which Phase 2 unbound from every
+  // flow. A table that was never built gets its one-pass build here. Either
+  // way the next packet's lookup builds nothing.
   for (std::size_t gi = 0; gi < kNumGates; ++gi)
-    if (touched[gi] && tables_[gi]) tables_[gi]->patch();
+    if (touched[gi] && tables_[gi]) tables_[gi]->prepare();
   return res;
 }
 

@@ -89,9 +89,10 @@ class Aiu {
   // invalidation: instead of the full cache flush create_filter/
   // remove_filter pay, only flows whose classification could have changed
   // (key matches an added filter, or binding derives from a removed record)
-  // are dropped for re-classification. Affected tables are then patch()ed —
-  // DAG subgraph reuse — so the packet path never sees a dirty table. Call
-  // between bursts only, like every other control-path mutation.
+  // are dropped for re-classification. A built DAG takes each op in place,
+  // and the touched tables are prepared before the call returns, so the
+  // packet path builds nothing. Call between bursts only, like every other
+  // control-path mutation.
   FilterBatchResult apply_filter_batch(std::span<const FilterOp> ops);
 
   // Versioned-upgrade handoff (docs/plugin_authoring.md §13): rebinds every

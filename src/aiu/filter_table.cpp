@@ -1,7 +1,6 @@
 #include "aiu/filter_table.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "netbase/memaccess.hpp"
 
@@ -9,179 +8,785 @@ namespace rp::aiu {
 
 using netbase::IpVersion;
 using netbase::MemAccess;
+using netbase::U128;
+
+namespace {
+
+std::uint64_t mix64(std::uint64_t x) noexcept {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// A candidate's share of its set's hash. A set hashes to the sum of its
+// members' shares, so the hash ignores order and follows an add or a remove
+// in O(1).
+std::uint64_t id_hash(const FilterRecord* r) noexcept {
+  return mix64(r->id + 0x9e3779b97f4a7c15ULL);
+}
+
+std::uint64_t memo_key(int level, std::uint64_t hash) noexcept {
+  return hash ^ mix64(static_cast<std::uint64_t>(level) + 1);
+}
+
+bool by_id(const FilterRecord* a, const FilterRecord* b) noexcept {
+  return a->id < b->id;
+}
+
+std::uint64_t hash_of(const std::vector<const FilterRecord*>& c) noexcept {
+  std::uint64_t h = 0;
+  for (const FilterRecord* r : c) h += id_hash(r);
+  return h;
+}
+
+// Whether `have` is `base` (delta 0), `base` plus `f` (delta +1; the newest
+// record sorts last) or `base` without `f` (delta -1).
+bool same_set(const std::vector<const FilterRecord*>& have,
+              const std::vector<const FilterRecord*>& base,
+              const FilterRecord* f, int delta) noexcept {
+  if (have.size() + (delta < 0 ? 1 : 0) != base.size() + (delta > 0 ? 1 : 0))
+    return false;
+  if (delta == 0) return have == base;
+  if (delta > 0)
+    return have.back() == f && std::equal(base.begin(), base.end(), have.begin());
+  auto h = have.begin();
+  for (const FilterRecord* r : base)
+    if (r != f && *h++ != r) return false;
+  return true;
+}
+
+// The same total order the leaves use: most specific wins, ties broken by
+// installation order. Merging two sub-DAG results with it is therefore
+// identical to picking the best over the union of their candidate sets.
+const FilterRecord* more_specific(const FilterRecord* a,
+                                  const FilterRecord* b) noexcept {
+  if (!a) return b;
+  if (!b) return a;
+  const int c = compare_specificity(a->filter, b->filter);
+  if (c != 0) return c > 0 ? a : b;
+  return a->id < b->id ? a : b;
+}
+
+// An address edge's (family, length) for NodeInfo::lengths, ascending.
+std::uint16_t length_code(IpVersion ver, std::uint8_t len) noexcept {
+  return static_cast<std::uint16_t>((ver == IpVersion::v6 ? 256 : 0) | len);
+}
+
+}  // namespace
+
+std::size_t DagFilterTable::ByFilter::operator()(const Filter& f) const noexcept {
+  auto prefix = [](const netbase::IpPrefix& p) {
+    const U128 k = p.addr.key();
+    return mix64(k.hi ^ mix64(k.lo ^ (std::uint64_t{p.len} << 8) ^
+                              static_cast<std::uint64_t>(p.addr.ver)));
+  };
+  const std::uint64_t ports =
+      std::uint64_t{f.sport.lo} | std::uint64_t{f.sport.hi} << 16 |
+      std::uint64_t{f.dport.lo} << 32 | std::uint64_t{f.dport.hi} << 48;
+  const std::uint64_t exact =
+      std::uint64_t{f.proto.wild} | std::uint64_t{f.proto.value} << 8 |
+      std::uint64_t{f.in_iface.wild} << 16 |
+      std::uint64_t{f.in_iface.value} << 24;
+  return static_cast<std::size_t>(prefix(f.src) ^ mix64(prefix(f.dst) + ports) ^
+                                  mix64(exact + 0x632be59bd9b4e019ULL));
+}
+
+bool DagFilterTable::constrains(const Filter& f, int level) noexcept {
+  switch (level) {
+    case kSrc: return f.src.len != 0;
+    case kDst: return f.dst.len != 0;
+    case kProto: return !f.proto.wild;
+    case kSport: return !f.sport.is_wild();
+    case kDport: return !f.dport.is_wild();
+    case kIface: return !f.in_iface.wild;
+    default: return false;
+  }
+}
+
+const netbase::IpPrefix& DagFilterTable::address(const Filter& f,
+                                                 int level) noexcept {
+  return level == kSrc ? f.src : f.dst;
+}
+
+std::uint32_t DagFilterTable::exact_value(const Filter& f, int level) noexcept {
+  return level == kProto ? f.proto.value : std::uint32_t{f.in_iface.value};
+}
+
+const PortSpec& DagFilterTable::port(const Filter& f, int level) noexcept {
+  return level == kSport ? f.sport : f.dport;
+}
 
 DagFilterTable::DagFilterTable() = default;
 DagFilterTable::DagFilterTable(Options opt) : opt_(std::move(opt)) {}
 DagFilterTable::~DagFilterTable() = default;
 
+// ---- records ---------------------------------------------------------------
+
 FilterRecord* DagFilterTable::insert(const Filter& f,
                                      plugin::PluginInstance* inst) {
-  for (auto& r : records_) {
-    if (r->filter == f) {  // rebind an existing filter
-      r->instance = inst;
-      return r.get();
-    }
+  if (auto it = index_.find(f); it != index_.end()) {
+    FilterRecord* r = records_[it->second].get();
+    r->instance = inst;  // rebind an existing filter
+    return r;
   }
   auto rec = std::make_unique<FilterRecord>();
   rec->filter = f;
   rec->instance = inst;
   rec->id = next_id_++;
   FilterRecord* out = rec.get();
+  index_.emplace(out, records_.size());
   records_.push_back(std::move(rec));
-  dirty_ = true;
+  if (built_) apply_root(out, true);
   return out;
 }
 
 Status DagFilterTable::remove(const Filter& f) {
-  for (auto it = records_.begin(); it != records_.end(); ++it) {
-    if ((*it)->filter == f) {
-      graveyard_.push_back(std::move(*it));
-      records_.erase(it);
-      dirty_ = true;
-      return Status::ok;
-    }
+  auto it = index_.find(f);
+  if (it == index_.end()) return Status::not_found;
+  const std::size_t pos = it->second;
+  index_.erase(it);
+  std::unique_ptr<FilterRecord> rec = std::move(records_[pos]);
+  if (pos + 1 != records_.size()) {
+    records_[pos] = std::move(records_.back());
+    index_.find(records_[pos].get())->second = pos;
   }
-  return Status::not_found;
+  records_.pop_back();
+  if (built_) apply_root(rec.get(), false);
+  retired_.push_back(std::move(rec));
+  return Status::ok;
+}
+
+const FilterRecord* DagFilterTable::find(const Filter& f) const {
+  auto it = index_.find(f);
+  return it == index_.end() ? nullptr : it->first;
 }
 
 std::size_t DagFilterTable::purge_instance(const plugin::PluginInstance* inst) {
-  std::size_t before = records_.size();
-  for (auto& r : records_)
-    if (r->instance == inst) graveyard_.push_back(std::move(r));
-  std::erase_if(records_, [](auto& r) { return !r; });
-  if (records_.size() != before) dirty_ = true;
-  return before - records_.size();
+  std::vector<const FilterRecord*> doomed;
+  for (const auto& r : records_)
+    if (r->instance == inst) doomed.push_back(r.get());
+  for (const FilterRecord* r : doomed) remove(r->filter);
+  return doomed.size();
 }
 
 std::size_t DagFilterTable::rebind_instance(plugin::PluginInstance* from,
                                             plugin::PluginInstance* to) {
   std::size_t n = 0;
-  for (auto& r : records_) {
+  for (const auto& r : records_) {
     if (r->instance == from) {
       r->instance = to;
       ++n;
     }
   }
-  // No dirty_: the DAG's leaves point at the records, whose filters are
-  // unchanged — only the binding moved.
+  // No structural change: the DAG's leaves point at the records, whose
+  // filters are unchanged — only the binding moved.
   return n;
 }
 
-std::vector<const FilterRecord*> DagFilterTable::records() const {
-  std::vector<const FilterRecord*> out;
-  out.reserve(records_.size());
-  for (auto& r : records_) out.push_back(r.get());
-  return out;
+// ---- build -------------------------------------------------------------------
+
+void DagFilterTable::prepare() const {
+  if (!built_) rebuild();
+  patch();
+}
+
+void DagFilterTable::patch() const {
+  for (std::int32_t n : pending_) {  // a node freed since has no engines
+    Node& node = nodes_[static_cast<std::size_t>(n)];
+    if (node.lpm4) node.lpm4->prepare();
+    if (node.lpm6) node.lpm6->prepare();
+  }
+  pending_.clear();
+  retired_.clear();
 }
 
 void DagFilterTable::rebuild() const {
   nodes_.clear();
+  info_.clear();
+  free_.clear();
   memo_.clear();
-  graveyard_.clear();
+  pending_.clear();
   ++rebuilds_;
-  dirty_ = false;
-  if (records_.empty()) {
-    root_ = -1;
-    return;
-  }
-  std::vector<const FilterRecord*> all;
+  built_ = true;
+  root_ = -1;
+  if (records_.empty()) return;
+  Cands all;
   all.reserve(records_.size());
-  for (auto& r : records_) all.push_back(r.get());
-  root_ = build(kSrc, all);
-  // memo_ stays resident: patch() reuses it to share subgraphs across
-  // incremental updates.
+  for (const auto& r : records_) all.push_back(r.get());
+  std::sort(all.begin(), all.end(), by_id);
+  const std::uint64_t h = hash_of(all);
+  root_ = build(kSrc, std::move(all), h);
 }
 
-void DagFilterTable::patch() const {
-  if (!dirty_) return;
-  dirty_ = false;
-  ++patches_;
-  if (records_.empty()) {
-    root_ = -1;
-  } else {
-    std::vector<const FilterRecord*> all;
-    all.reserve(records_.size());
-    for (auto& r : records_) all.push_back(r.get());
-    root_ = build(kSrc, all);
+std::int32_t DagFilterTable::build(int level, Cands cand,
+                                   std::uint64_t hash) const {
+  // §5.1.2 node collapsing: a field no candidate constrains is a no-op
+  // test, so the position is the next level's node.
+  if (opt_.collapse)
+    while (level < kLeaf &&
+           std::none_of(cand.begin(), cand.end(), [&](const FilterRecord* r) {
+             return constrains(r->filter, level);
+           }))
+      ++level;
+  ++stats_.work;
+  // DAG node sharing: identical (level, candidate-set) pairs map to one
+  // node — including leaves, which otherwise replicate heavily.
+  if (const std::int32_t hit = memo_find(level, hash, cand, nullptr, 0);
+      hit >= 0)
+    return acquire(hit);
+
+  const std::int32_t me = alloc_node(level);
+  const auto mi = static_cast<std::size_t>(me);
+  NodeInfo& in = info_[mi];  // a deque element: stable while children build
+  in.cands = std::move(cand);
+  in.hash = hash;
+  memo_insert(me);
+  const Cands& c = in.cands;
+  in.constrained = static_cast<std::uint32_t>(
+      std::count_if(c.begin(), c.end(), [&](const FilterRecord* r) {
+        return constrains(r->filter, level);
+      }));
+
+  if (level == kLeaf) {
+    // Every candidate here matches any key that reached this leaf; the
+    // best (most specific; ties broken by installation order) wins.
+    const FilterRecord* best = nullptr;
+    for (const FilterRecord* r : c) best = more_specific(best, r);
+    nodes_[mi].leaf = best;
+    return acquire(me);
   }
-  // Compact once garbage dominates the arena (the slack keeps small tables
-  // from ever bothering). Mark-and-copy, not rebuild: a rebuild would clear
-  // the memo and make the next patch pay a from-scratch build, turning
-  // steady churn into a rebuild-every-batch cycle.
-  const std::size_t live = reachable_node_count();
-  if (nodes_.size() > 2 * live + 64) compact();
+
+  // Builds the child for `sub` and returns the new reference.
+  auto child = [&](Cands sub) {
+    const std::uint64_t h = hash_of(sub);
+    return build(level + 1, std::move(sub), h);
+  };
+  auto wild_set = [&] {
+    Cands w;
+    for (const FilterRecord* r : c)
+      if (!constrains(r->filter, level)) w.push_back(r);
+    return w;
+  };
+
+  if (level == kSrc || level == kDst) {
+    // Candidates by exact prefix. len-0 filters (either family) are hoisted
+    // onto the wild edge instead of being replicated into every subtree:
+    // lookup descends both and keeps the more specific result.
+    std::vector<std::pair<EdgeKey, const FilterRecord*>> keyed;
+    for (const FilterRecord* r : c) {
+      const netbase::IpPrefix& p = address(r->filter, level);
+      if (p.len != 0) keyed.push_back({{p.addr.ver, p.addr.key(), p.len}, r});
+    }
+    std::stable_sort(keyed.begin(), keyed.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    struct Group {
+      EdgeKey key;
+      std::size_t begin, end;
+    };
+    std::vector<Group> groups;
+    for (std::size_t i = 0; i < keyed.size();) {
+      std::size_t j = i + 1;
+      while (j < keyed.size() && keyed[j].first == keyed[i].first) ++j;
+      groups.push_back({keyed[i].first, i, j});
+      i = j;
+    }
+    // Distinct (family, length) pairs present.
+    std::vector<std::uint16_t> codes;
+    codes.reserve(groups.size());
+    for (const Group& g : groups) codes.push_back(length_code(g.key.ver, g.key.len));
+    std::sort(codes.begin(), codes.end());
+    codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
+
+    for (const Group& g : groups) {
+      // Set-pruning replication: the subtree under edge `p` holds every
+      // filter whose prefix covers p (matches at least everything p does) —
+      // wildcards excepted, they live on the wild edge. One probe per
+      // length present finds them.
+      Cands sub;
+      for (std::uint16_t code : codes) {
+        if (code != length_code(g.key.ver, static_cast<std::uint8_t>(code & 255)))
+          continue;  // other family
+        const auto l = static_cast<std::uint8_t>(code & 255);
+        if (l > g.key.len) break;
+        const EdgeKey probe{g.key.ver, g.key.key & U128::prefix_mask(l), l};
+        auto it = std::lower_bound(
+            groups.begin(), groups.end(), probe,
+            [](const Group& a, const EdgeKey& k) { return a.key < k; });
+        if (it == groups.end() || !(it->key == probe)) continue;
+        for (std::size_t i = it->begin; i < it->end; ++i)
+          sub.push_back(keyed[i].second);
+      }
+      std::sort(sub.begin(), sub.end(), by_id);
+      const std::int32_t target = child(std::move(sub));
+      add_edge(me, g.key, target, static_cast<std::uint32_t>(g.end - g.begin));
+    }
+    if (in.constrained != c.size()) {
+      const std::int32_t w = child(wild_set());
+      nodes_[mi].wild = w;
+    }
+    return acquire(me);
+  }
+
+  if (level == kProto || level == kIface) {
+    std::vector<std::uint32_t> vals;
+    for (const FilterRecord* r : c) {
+      if (!constrains(r->filter, level)) continue;
+      const std::uint32_t v = exact_value(r->filter, level);
+      if (std::find(vals.begin(), vals.end(), v) == vals.end()) vals.push_back(v);
+    }
+    for (std::uint32_t v : vals) {
+      // Wild filters are on the wild edge, not replicated under each value.
+      Cands sub;
+      for (const FilterRecord* r : c)
+        if (constrains(r->filter, level) && exact_value(r->filter, level) == v)
+          sub.push_back(r);
+      const std::int32_t target = child(std::move(sub));
+      nodes_[mi].exact[v] = target;
+    }
+    if (in.constrained != c.size()) {
+      const std::int32_t w = child(wild_set());
+      nodes_[mi].wild = w;
+    }
+    return acquire(me);
+  }
+
+  // Port levels: close the distinct specs under pairwise intersection so
+  // that for any key the most specific matching edge is unique (this is the
+  // filter-ambiguity resolution of §5.1.2 applied to ranges).
+  std::vector<PortSpec> specs;
+  for (const FilterRecord* r : c) {
+    const PortSpec& p = port(r->filter, level);
+    if (p.is_wild()) continue;  // hoisted onto the wild edge below
+    if (std::find(specs.begin(), specs.end(), p) == specs.end())
+      specs.push_back(p);
+  }
+  // (j restarts from 0 so intersections involving appended specs are also
+  // closed — the loop reaches a fixpoint because each addition is narrower.)
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (specs[i].overlaps(specs[j])) {
+        PortSpec x = specs[i].intersect(specs[j]);
+        if (std::find(specs.begin(), specs.end(), x) == specs.end())
+          specs.push_back(x);
+      }
+    }
+  }
+  // Narrowest-first: lookup scans in this order and stops at the first hit.
+  std::sort(specs.begin(), specs.end(), [](const PortSpec& a, const PortSpec& b) {
+    if (a.width() != b.width()) return a.width() < b.width();
+    return a.lo < b.lo;
+  });
+  for (const auto& s : specs) {
+    Cands sub;
+    for (const FilterRecord* r : c) {
+      const PortSpec& p = port(r->filter, level);
+      if (!p.is_wild() && p.covers(s)) sub.push_back(r);
+    }
+    const std::int32_t target = child(std::move(sub));
+    Node& n = nodes_[mi];
+    if (s.is_exact())
+      n.port_exact[s.lo] = target;
+    else
+      n.ranges.emplace_back(s, target);
+  }
+  if (in.constrained != c.size()) {
+    const std::int32_t w = child(wild_set());
+    nodes_[mi].wild = w;
+  }
+  return acquire(me);
 }
 
-void DagFilterTable::compact() const {
-  if (root_ < 0) {
-    nodes_.clear();
-    memo_.clear();
-    graveyard_.clear();
+// ---- in-place ops ------------------------------------------------------------
+
+void DagFilterTable::apply_root(const FilterRecord* f, bool add) const {
+  ++stats_.ops;
+  const std::int32_t old = root_;
+  root_ = apply(kSrc, old, f, add);
+  release(old);
+}
+
+std::int32_t DagFilterTable::apply(int level, std::int32_t n,
+                                   const FilterRecord* f, bool add) const {
+  ++stats_.work;
+  if (n < 0) return add ? build(level, {f}, id_hash(f)) : -1;
+  const auto i = static_cast<std::size_t>(n);
+  const int at = nodes_[i].level;
+  const Filter& ff = f->filter;
+  if (add && opt_.collapse) {
+    // A collapsed position whose first constrained field f constrains gets
+    // a node of its own.
+    for (int l = level; l < at; ++l)
+      if (constrains(ff, l)) return split(l, n, f);
+  }
+  if (!add) {
+    if (info_[i].cands.size() == 1) return -1;  // f was the only candidate
+    // The last filter constraining this field leaves: the position
+    // collapses to the wild child, whose set is everything else (§5.1.2).
+    if (opt_.collapse && at < kLeaf && info_[i].constrained == 1 &&
+        constrains(ff, at))
+      return acquire(nodes_[i].wild);
+  }
+  const std::uint64_t h =
+      add ? info_[i].hash + id_hash(f) : info_[i].hash - id_hash(f);
+  if (const std::int32_t hit = memo_find(at, h, info_[i].cands, f, add ? 1 : -1);
+      hit >= 0)
+    return acquire(hit);
+  if ((at == kSport || at == kDport) && constrains(ff, at)) {
+    // Port levels close their specs under intersection: re-derive the node
+    // from its (small) candidate set; the memo supplies every child whose
+    // set did not change.
+    Cands next = info_[i].cands;
+    if (add)
+      next.push_back(f);
+    else
+      next.erase(std::lower_bound(next.begin(), next.end(), f, by_id));
+    return build(at, std::move(next), h);
+  }
+
+  // Change the node itself when the caller's edge is its only reference;
+  // copy it first when it is shared.
+  const std::int32_t t = info_[i].refs == 1 ? n : copy(n);
+  const auto ti = static_cast<std::size_t>(t);
+  NodeInfo& in = info_[ti];
+  if (t == n) {
+    memo_erase(n);
+    ++stats_.nodes_changed;
+  }
+  if (add)
+    in.cands.push_back(f);
+  else
+    in.cands.erase(std::lower_bound(in.cands.begin(), in.cands.end(), f, by_id));
+  in.hash = h;
+  if (constrains(ff, at)) add ? ++in.constrained : --in.constrained;
+  memo_insert(t);
+
+  switch (at) {
+    case kLeaf: {
+      Node& node = nodes_[ti];
+      if (add) {
+        node.leaf = more_specific(node.leaf, f);
+      } else if (node.leaf == f) {
+        node.leaf = nullptr;
+        for (const FilterRecord* r : in.cands) node.leaf = more_specific(node.leaf, r);
+      }
+      break;
+    }
+    case kSrc:
+    case kDst:
+      patch_addr(t, f, add);
+      break;
+    case kProto:
+    case kIface:
+      patch_exact(t, f, add);
+      break;
+    default:  // a port level f leaves wild
+      patch_wild(t, f, add);
+      break;
+  }
+  return acquire(t);
+}
+
+std::int32_t DagFilterTable::split(int level, std::int32_t n,
+                                   const FilterRecord* f) const {
+  // The position's set S leaves `level` unconstrained and f is the first
+  // candidate to constrain it: the new node keeps S on its wild edge (whose
+  // node is `n`, S being wild down to n's level) and f on a specific edge.
+  const auto i = static_cast<std::size_t>(n);
+  const std::uint64_t h = info_[i].hash + id_hash(f);
+  if (const std::int32_t hit = memo_find(level, h, info_[i].cands, f, 1); hit >= 0)
+    return acquire(hit);
+  const std::int32_t me = alloc_node(level);
+  NodeInfo& in = info_[static_cast<std::size_t>(me)];
+  in.cands = info_[i].cands;
+  in.cands.push_back(f);
+  in.hash = h;
+  in.constrained = 1;
+  memo_insert(me);
+  nodes_[static_cast<std::size_t>(me)].wild = acquire(n);
+  const std::int32_t target = build(level + 1, {f}, id_hash(f));
+  link_specific(me, f, target);
+  return acquire(me);
+}
+
+std::int32_t DagFilterTable::copy(std::int32_t n) const {
+  const std::int32_t c = alloc_node(nodes_[static_cast<std::size_t>(n)].level);
+  const Node& src = nodes_[static_cast<std::size_t>(n)];
+  Node& dst = nodes_[static_cast<std::size_t>(c)];
+  dst.addr_targets = src.addr_targets;
+  dst.port_exact = src.port_exact;
+  dst.ranges = src.ranges;
+  dst.exact = src.exact;
+  dst.wild = src.wild;
+  dst.leaf = src.leaf;
+  std::size_t edges = 0;
+  auto share = [&](std::int32_t t) {
+    acquire(t);
+    ++edges;
+  };
+  for (std::int32_t t : dst.addr_targets) share(t);
+  for (const auto& [v, t] : dst.exact) share(t);
+  for (const auto& [v, t] : dst.port_exact) share(t);
+  for (const auto& [s, t] : dst.ranges) share(t);
+  acquire(dst.wild);
+  const NodeInfo& from = info_[static_cast<std::size_t>(n)];
+  NodeInfo& in = info_[static_cast<std::size_t>(c)];
+  in.cands = from.cands;
+  in.hash = from.hash;
+  in.constrained = from.constrained;
+  in.edges = from.edges;
+  in.lengths = from.lengths;
+  in.free_slots = from.free_slots;
+  // A copied node's engines are filled from its edge index.
+  for (const auto& [k, e] : in.edges)
+    engine(dst, k.ver).insert(k.key, k.len, static_cast<bmp::LpmValue>(e.slot));
+  if (!in.edges.empty()) pending_.push_back(c);
+  stats_.work += edges;
+  return c;  // unreferenced: the caller links it
+}
+
+void DagFilterTable::patch_wild(std::int32_t t, const FilterRecord* f,
+                                bool add) const {
+  const auto ti = static_cast<std::size_t>(t);
+  const std::int32_t old = nodes_[ti].wild;
+  const std::int32_t next = apply(nodes_[ti].level + 1, old, f, add);
+  nodes_[ti].wild = next;
+  release(old);
+}
+
+void DagFilterTable::patch_exact(std::int32_t t, const FilterRecord* f,
+                                 bool add) const {
+  const auto ti = static_cast<std::size_t>(t);
+  const int level = nodes_[ti].level;
+  if (!constrains(f->filter, level)) return patch_wild(t, f, add);
+  const std::uint32_t v = exact_value(f->filter, level);
+  ++stats_.work;
+  auto it = nodes_[ti].exact.find(v);
+  if (it == nodes_[ti].exact.end()) {  // an add with a new value
+    const std::int32_t target = build(level + 1, {f}, id_hash(f));
+    nodes_[ti].exact.emplace(v, target);
     return;
   }
-  // Mark: discovery order becomes the new arena order.
-  std::vector<std::int32_t> remap(nodes_.size(), -1);
-  std::vector<std::int32_t> order;
-  std::vector<std::int32_t> stack;
-  auto mark = [&](std::int32_t t) {
-    if (t >= 0 && remap[static_cast<std::size_t>(t)] < 0) {
-      remap[static_cast<std::size_t>(t)] =
-          static_cast<std::int32_t>(order.size());
-      order.push_back(t);
-      stack.push_back(t);
-    }
-  };
-  mark(root_);
-  while (!stack.empty()) {
-    const Node& n = nodes_[static_cast<std::size_t>(stack.back())];
-    stack.pop_back();
-    for (std::int32_t t : n.addr_targets) mark(t);
-    for (const auto& [v, t] : n.exact) mark(t);
-    for (const auto& [v, t] : n.port_exact) mark(t);
-    for (const auto& [s, t] : n.ranges) mark(t);
-    mark(n.wild);
+  const std::int32_t old = it->second;
+  if (!add && info_[static_cast<std::size_t>(old)].cands.size() == 1) {
+    nodes_[ti].exact.erase(it);  // the value's last filter leaves
+    release(old);
+    return;
   }
-  // Copy live nodes, rewriting every edge through the remap.
-  std::vector<Node> live;
-  live.reserve(order.size());
-  auto fix = [&](std::int32_t& t) {
-    if (t >= 0) t = remap[static_cast<std::size_t>(t)];
-  };
-  for (std::int32_t old : order) {
-    Node n = std::move(nodes_[static_cast<std::size_t>(old)]);
-    for (auto& t : n.addr_targets) fix(t);
-    for (auto& [v, t] : n.exact) fix(t);
-    for (auto& [v, t] : n.port_exact) fix(t);
-    for (auto& [s, t] : n.ranges) fix(t);
-    fix(n.wild);
-    live.push_back(std::move(n));
-  }
-  nodes_ = std::move(live);
-  root_ = remap[static_cast<std::size_t>(root_)];
-  // Memo entries follow their node; entries for swept nodes — and entries
-  // whose key names a removed record id, which can never be queried again —
-  // are dropped so the memo stays proportional to the live graph.
-  std::unordered_set<std::uint32_t> live_ids;
-  live_ids.reserve(records_.size());
-  for (const auto& r : records_) live_ids.insert(r->id);
-  for (auto it = memo_.begin(); it != memo_.end();) {
-    const std::int32_t t = remap[static_cast<std::size_t>(it->second)];
-    bool keep = t >= 0;
-    if (keep)
-      for (std::uint32_t id : it->first.second)
-        if (!live_ids.contains(id)) {
-          keep = false;
-          break;
-        }
-    if (!keep) {
-      it = memo_.erase(it);
-    } else {
-      it->second = t;
+  const std::int32_t next = apply(level + 1, old, f, add);
+  nodes_[ti].exact[v] = next;
+  release(old);
+}
+
+void DagFilterTable::patch_addr(std::int32_t t, const FilterRecord* f,
+                                bool add) const {
+  const auto ti = static_cast<std::size_t>(t);
+  const int level = nodes_[ti].level;
+  const netbase::IpPrefix& p = address(f->filter, level);
+  if (p.len == 0) return patch_wild(t, f, add);
+  const EdgeKey k{p.addr.ver, p.addr.key(), p.len};
+  NodeInfo& in = info_[ti];
+  // The edges p covers, its own included, are the keys in [p, last] that
+  // are at least as long as p.
+  const U128 last = k.key | ~U128::prefix_mask(k.len);
+  bool own = false;
+  for (auto it = in.edges.lower_bound({k.ver, k.key, 0});
+       it != in.edges.end() && it->first.ver == k.ver && it->first.key <= last;) {
+    if (it->first.len < k.len) {  // covers p
       ++it;
+      continue;
     }
+    ++stats_.work;
+    if (it->first.len == k.len) {
+      own = true;
+      if (add) {
+        ++it->second.filters;
+      } else if (--it->second.filters == 0) {
+        remove_edge(t, it++);
+        continue;
+      }
+    }
+    const std::int32_t slot = it->second.slot;
+    const std::int32_t old = nodes_[ti].addr_targets[static_cast<std::size_t>(slot)];
+    const std::int32_t next = apply(level + 1, old, f, add);
+    nodes_[ti].addr_targets[static_cast<std::size_t>(slot)] = next;
+    release(old);
+    ++it;
   }
-  // Nothing reachable references a tombstoned record any more.
-  graveyard_.clear();
+  if (add && !own) {
+    // A new edge's child set is its longest covering edge's plus f: no
+    // filter's prefix lies strictly between the two. That child stays
+    // linked under the covering edge, so hold it to have it copied, not
+    // changed.
+    const std::int32_t base = acquire(covering_child(t, k));
+    const std::int32_t target = apply(level + 1, base, f, true);
+    release(base);
+    add_edge(t, k, target, 1);
+  }
+}
+
+std::int32_t DagFilterTable::covering_child(std::int32_t t,
+                                            const EdgeKey& k) const {
+  const NodeInfo& in = info_[static_cast<std::size_t>(t)];
+  const std::uint16_t below = length_code(k.ver, k.len);
+  const std::uint16_t floor = length_code(k.ver, 0);
+  for (auto l = in.lengths.rbegin(); l != in.lengths.rend(); ++l) {
+    if (l->first >= below) continue;
+    if (l->first <= floor) break;  // the other family's lengths
+    const auto len = static_cast<std::uint8_t>(l->first & 255);
+    auto e = in.edges.find({k.ver, k.key & U128::prefix_mask(len), len});
+    if (e != in.edges.end())
+      return nodes_[static_cast<std::size_t>(t)]
+          .addr_targets[static_cast<std::size_t>(e->second.slot)];
+  }
+  return -1;
+}
+
+bmp::LpmEngine& DagFilterTable::engine(Node& n, IpVersion ver) const {
+  auto& lpm = ver == IpVersion::v4 ? n.lpm4 : n.lpm6;
+  if (!lpm)
+    lpm = bmp::make_lpm_engine(opt_.bmp_engine, ver == IpVersion::v4 ? 32 : 128);
+  return *lpm;
+}
+
+void DagFilterTable::add_edge(std::int32_t t, const EdgeKey& k,
+                              std::int32_t child, std::uint32_t filters) const {
+  const auto ti = static_cast<std::size_t>(t);
+  NodeInfo& in = info_[ti];
+  Node& n = nodes_[ti];
+  std::int32_t slot;
+  if (!in.free_slots.empty()) {
+    slot = in.free_slots.back();
+    in.free_slots.pop_back();
+    n.addr_targets[static_cast<std::size_t>(slot)] = child;
+  } else {
+    slot = static_cast<std::int32_t>(n.addr_targets.size());
+    n.addr_targets.push_back(child);
+  }
+  engine(n, k.ver).insert(k.key, k.len, static_cast<bmp::LpmValue>(slot));
+  // The build adds edges in key order, so the end is the right hint there.
+  in.edges.emplace_hint(in.edges.end(), k, AddrEdge{slot, filters});
+  const std::uint16_t code = length_code(k.ver, k.len);
+  auto l = std::lower_bound(in.lengths.begin(), in.lengths.end(), code,
+                            [](const auto& e, std::uint16_t c) { return e.first < c; });
+  if (l == in.lengths.end() || l->first != code)
+    in.lengths.insert(l, {code, 1});
+  else
+    ++l->second;
+  if (pending_.empty() || pending_.back() != t) pending_.push_back(t);
+  ++stats_.work;
+}
+
+void DagFilterTable::remove_edge(std::int32_t t,
+                                 std::map<EdgeKey, AddrEdge>::iterator it) const {
+  const auto ti = static_cast<std::size_t>(t);
+  NodeInfo& in = info_[ti];
+  Node& n = nodes_[ti];
+  const EdgeKey k = it->first;
+  const std::int32_t slot = it->second.slot;
+  in.edges.erase(it);
+  auto& lpm = k.ver == IpVersion::v4 ? n.lpm4 : n.lpm6;
+  lpm->remove(k.key, k.len);
+  // A fresh build gives a family without edges no engine at all.
+  if (lpm->size() == 0) lpm.reset();
+  const std::int32_t child = n.addr_targets[static_cast<std::size_t>(slot)];
+  n.addr_targets[static_cast<std::size_t>(slot)] = -1;
+  in.free_slots.push_back(slot);
+  const std::uint16_t code = length_code(k.ver, k.len);
+  auto l = std::lower_bound(in.lengths.begin(), in.lengths.end(), code,
+                            [](const auto& e, std::uint16_t c) { return e.first < c; });
+  if (--l->second == 0) in.lengths.erase(l);
+  if (pending_.empty() || pending_.back() != t) pending_.push_back(t);
+  ++stats_.work;
+  release(child);
+}
+
+void DagFilterTable::link_specific(std::int32_t t, const FilterRecord* f,
+                                   std::int32_t child) const {
+  const auto ti = static_cast<std::size_t>(t);
+  const int level = nodes_[ti].level;
+  const Filter& ff = f->filter;
+  if (level == kSrc || level == kDst) {
+    const netbase::IpPrefix& p = address(ff, level);
+    add_edge(t, {p.addr.ver, p.addr.key(), p.len}, child, 1);
+  } else if (level == kProto || level == kIface) {
+    nodes_[ti].exact.emplace(exact_value(ff, level), child);
+  } else if (const PortSpec& s = port(ff, level); s.is_exact()) {
+    nodes_[ti].port_exact.emplace(s.lo, child);
+  } else {
+    nodes_[ti].ranges.emplace_back(s, child);
+  }
+}
+
+// ---- arena and memo --------------------------------------------------------
+
+std::int32_t DagFilterTable::alloc_node(int level) const {
+  std::int32_t n;
+  if (!free_.empty()) {
+    n = free_.back();
+    free_.pop_back();
+  } else {
+    n = static_cast<std::int32_t>(nodes_.size());
+    nodes_.emplace_back();
+    info_.emplace_back();
+  }
+  nodes_[static_cast<std::size_t>(n)].level = static_cast<std::uint8_t>(level);
+  ++stats_.nodes_changed;
+  return n;
+}
+
+std::int32_t DagFilterTable::acquire(std::int32_t n) const {
+  if (n >= 0) ++info_[static_cast<std::size_t>(n)].refs;
+  return n;
+}
+
+void DagFilterTable::release(std::int32_t n) const {
+  if (n < 0) return;
+  const auto i = static_cast<std::size_t>(n);
+  if (--info_[i].refs != 0) return;
+  memo_erase(n);
+  ++stats_.nodes_changed;
+  Node& node = nodes_[i];  // releasing children frees, never allocates
+  for (std::int32_t t : node.addr_targets) release(t);
+  for (const auto& [v, t] : node.exact) release(t);
+  for (const auto& [v, t] : node.port_exact) release(t);
+  for (const auto& [s, t] : node.ranges) release(t);
+  release(node.wild);
+  node = Node{};
+  info_[i] = NodeInfo{};
+  free_.push_back(n);
+}
+
+std::int32_t DagFilterTable::memo_find(int level, std::uint64_t hash,
+                                       const Cands& base, const FilterRecord* f,
+                                       int delta) const {
+  const auto [lo, hi] = memo_.equal_range(memo_key(level, hash));
+  for (auto it = lo; it != hi; ++it) {
+    const auto i = static_cast<std::size_t>(it->second);
+    if (nodes_[i].level == level && info_[i].hash == hash &&
+        same_set(info_[i].cands, base, f, delta))
+      return it->second;
+  }
+  return -1;
+}
+
+void DagFilterTable::memo_insert(std::int32_t n) const {
+  const auto i = static_cast<std::size_t>(n);
+  memo_.emplace(memo_key(nodes_[i].level, info_[i].hash), n);
+}
+
+void DagFilterTable::memo_erase(std::int32_t n) const {
+  const auto i = static_cast<std::size_t>(n);
+  const auto [lo, hi] = memo_.equal_range(memo_key(nodes_[i].level, info_[i].hash));
+  for (auto it = lo; it != hi; ++it)
+    if (it->second == n) {
+      memo_.erase(it);
+      return;
+    }
+}
+
+std::size_t DagFilterTable::node_count() const {
+  if (!built_) prepare();
+  return nodes_.size() - free_.size();
 }
 
 std::size_t DagFilterTable::reachable_node_count() const {
@@ -209,227 +814,7 @@ std::size_t DagFilterTable::reachable_node_count() const {
   return count;
 }
 
-std::int32_t DagFilterTable::build(
-    int level, const std::vector<const FilterRecord*>& cand) const {
-  // DAG node sharing: identical (level, candidate-set) pairs map to one
-  // node — including leaves, which otherwise replicate heavily.
-  std::vector<std::uint32_t> sig;
-  sig.reserve(cand.size());
-  for (const FilterRecord* r : cand) sig.push_back(r->id);
-  std::sort(sig.begin(), sig.end());
-  auto memo_key = std::make_pair(level, std::move(sig));
-  if (auto it = memo_.find(memo_key); it != memo_.end()) return it->second;
-
-  if (level == kLeaf) {
-    // Every candidate here matches any key that reached this leaf; the
-    // best (most specific; ties broken by installation order) wins.
-    const FilterRecord* best = cand.front();
-    for (const FilterRecord* r : cand) {
-      int c = compare_specificity(r->filter, best->filter);
-      if (c > 0 || (c == 0 && r->id < best->id)) best = r;
-    }
-    nodes_.push_back({});
-    Node& n = nodes_.back();
-    n.level = kLeaf;
-    n.leaf = best;
-    const auto idx = static_cast<std::int32_t>(nodes_.size() - 1);
-    memo_[memo_key] = idx;
-    return idx;
-  }
-
-  // §5.1.2 node collapsing: if no candidate constrains this field, the test
-  // is a no-op — point the parent directly at the next level.
-  if (opt_.collapse) {
-    bool all_wild = true;
-    for (const FilterRecord* r : cand) {
-      const Filter& f = r->filter;
-      bool wild = (level == kSrc && f.src.len == 0) ||
-                  (level == kDst && f.dst.len == 0) ||
-                  (level == kProto && f.proto.wild) ||
-                  (level == kSport && f.sport.is_wild()) ||
-                  (level == kDport && f.dport.is_wild()) ||
-                  (level == kIface && f.in_iface.wild);
-      if (!wild) {
-        all_wild = false;
-        break;
-      }
-    }
-    if (all_wild) {
-      std::int32_t skipped = build(level + 1, cand);
-      memo_[memo_key] = skipped;
-      return skipped;
-    }
-  }
-
-  const std::int32_t me = static_cast<std::int32_t>(nodes_.size());
-  nodes_.push_back({});
-  nodes_[me].level = static_cast<std::uint8_t>(level);
-  memo_[memo_key] = me;
-
-  auto covered = [&](auto pred) {
-    std::vector<const FilterRecord*> out;
-    for (const FilterRecord* r : cand)
-      if (pred(r->filter)) out.push_back(r);
-    return out;
-  };
-
-  if (level == kSrc || level == kDst) {
-    auto field = [&](const Filter& f) -> const netbase::IpPrefix& {
-      return level == kSrc ? f.src : f.dst;
-    };
-    // Group candidates by exact prefix so each edge's child set is found
-    // with one hash probe per present length instead of a full scan (keeps
-    // the build near O(edges * lengths) even for 50k-filter tables).
-    struct PrefixKey {
-      netbase::IpVersion ver;
-      netbase::U128 bits;
-      std::uint8_t len;
-      bool operator<(const PrefixKey& o) const {
-        if (ver != o.ver) return ver < o.ver;
-        if (len != o.len) return len < o.len;
-        return bits < o.bits;
-      }
-    };
-    std::map<PrefixKey, std::vector<const FilterRecord*>> by_prefix;
-    // len-0 filters (either family) are hoisted onto the node's wild edge
-    // instead of being replicated into every subtree: lookup descends both
-    // and keeps the more specific result. This is what keeps churn of a
-    // wildcard filter from invalidating every memoized subgraph.
-    std::vector<const FilterRecord*> wild;
-    std::vector<netbase::IpPrefix> specs;
-    for (const FilterRecord* r : cand) {
-      netbase::IpPrefix p = field(r->filter);
-      if (p.len == 0) {
-        wild.push_back(r);
-        continue;
-      }
-      PrefixKey pk{p.addr.ver, p.addr.key(), p.len};
-      auto [it, inserted] = by_prefix.try_emplace(pk);
-      if (inserted) specs.push_back(p);
-      it->second.push_back(r);
-    }
-    // Distinct lengths present, per family.
-    std::vector<std::uint8_t> lengths4, lengths6;
-    for (const auto& [pk, v] : by_prefix) {
-      auto& lens = pk.ver == IpVersion::v4 ? lengths4 : lengths6;
-      if (lens.empty() || lens.back() != pk.len) lens.push_back(pk.len);
-    }
-    std::sort(lengths4.begin(), lengths4.end());
-    lengths4.erase(std::unique(lengths4.begin(), lengths4.end()),
-                   lengths4.end());
-    std::sort(lengths6.begin(), lengths6.end());
-    lengths6.erase(std::unique(lengths6.begin(), lengths6.end()),
-                   lengths6.end());
-
-    for (const auto& p : specs) {
-      // Set-pruning replication: the subtree under edge `p` holds every
-      // filter whose prefix covers p (matches at least everything p does) —
-      // wildcards excepted, they live on the wild edge.
-      std::vector<const FilterRecord*> child_set;
-      const auto& lens = p.addr.ver == IpVersion::v4 ? lengths4 : lengths6;
-      for (std::uint8_t l : lens) {
-        if (l > p.len) break;
-        PrefixKey pk{p.addr.ver,
-                     p.addr.key() & netbase::U128::prefix_mask(l), l};
-        if (auto it = by_prefix.find(pk); it != by_prefix.end())
-          child_set.insert(child_set.end(), it->second.begin(),
-                           it->second.end());
-      }
-      std::int32_t child = build(level + 1, child_set);
-      Node& n = nodes_[me];
-      auto edge = static_cast<bmp::LpmValue>(n.addr_targets.size());
-      n.addr_targets.push_back(child);
-      auto& lpm = p.addr.ver == IpVersion::v4 ? n.lpm4 : n.lpm6;
-      if (!lpm)
-        lpm = bmp::make_lpm_engine(opt_.bmp_engine,
-                                   p.addr.ver == IpVersion::v4 ? 32 : 128);
-      lpm->insert(p.addr.key(), p.len, edge);
-    }
-    if (!wild.empty()) {
-      const std::int32_t w = build(level + 1, wild);
-      nodes_[me].wild = w;
-    }
-    return me;
-  }
-
-  if (level == kProto || level == kIface) {
-    auto wildp = [&](const Filter& f) {
-      return level == kProto ? f.proto.wild : f.in_iface.wild;
-    };
-    auto value = [&](const Filter& f) -> std::uint32_t {
-      return level == kProto ? f.proto.value : f.in_iface.value;
-    };
-    std::vector<std::uint32_t> vals;
-    bool any_wild = false;
-    for (const FilterRecord* r : cand) {
-      if (wildp(r->filter)) {
-        any_wild = true;
-      } else if (std::find(vals.begin(), vals.end(), value(r->filter)) ==
-                 vals.end()) {
-        vals.push_back(value(r->filter));
-      }
-    }
-    for (std::uint32_t v : vals) {
-      // Wild filters are on the wild edge, not replicated under each value.
-      auto child_set = covered(
-          [&](const Filter& f) { return !wildp(f) && value(f) == v; });
-      std::int32_t child = build(level + 1, child_set);
-      nodes_[me].exact[v] = child;
-    }
-    if (any_wild) {
-      auto child_set = covered([&](const Filter& f) { return wildp(f); });
-      nodes_[me].wild = build(level + 1, child_set);
-    }
-    return me;
-  }
-
-  // Port levels: close the distinct specs under pairwise intersection so
-  // that for any key the most specific matching edge is unique (this is the
-  // filter-ambiguity resolution of §5.1.2 applied to ranges).
-  auto field = [&](const Filter& f) -> const PortSpec& {
-    return level == kSport ? f.sport : f.dport;
-  };
-  std::vector<PortSpec> specs;
-  for (const FilterRecord* r : cand) {
-    const auto& p = field(r->filter);
-    if (p.is_wild()) continue;  // hoisted onto the wild edge below
-    if (std::find(specs.begin(), specs.end(), p) == specs.end())
-      specs.push_back(p);
-  }
-  // (j restarts from 0 so intersections involving appended specs are also
-  // closed — the loop reaches a fixpoint because each addition is narrower.)
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      if (specs[i].overlaps(specs[j])) {
-        PortSpec x = specs[i].intersect(specs[j]);
-        if (std::find(specs.begin(), specs.end(), x) == specs.end())
-          specs.push_back(x);
-      }
-    }
-  }
-  // Narrowest-first: lookup scans in this order and stops at the first hit.
-  std::sort(specs.begin(), specs.end(), [](const PortSpec& a, const PortSpec& b) {
-    if (a.width() != b.width()) return a.width() < b.width();
-    return a.lo < b.lo;
-  });
-  for (const auto& s : specs) {
-    auto child_set = covered([&](const Filter& f) {
-      return !field(f).is_wild() && field(f).covers(s);
-    });
-    std::int32_t child = build(level + 1, child_set);
-    Node& n = nodes_[me];
-    if (s.is_exact())
-      n.port_exact[s.lo] = child;
-    else
-      n.ranges.emplace_back(s, child);
-  }
-  auto wild_set = covered([&](const Filter& f) { return field(f).is_wild(); });
-  if (!wild_set.empty()) {
-    const std::int32_t w = build(level + 1, wild_set);
-    nodes_[me].wild = w;
-  }
-  return me;
-}
+// ---- lookup ----------------------------------------------------------------
 
 std::int32_t DagFilterTable::walk(const Node& n, const pkt::FlowKey& key) const {
   MemAccess::count();  // fetch of this node's edge structure
@@ -473,21 +858,6 @@ std::int32_t DagFilterTable::walk(const Node& n, const pkt::FlowKey& key) const 
   }
 }
 
-namespace {
-
-// The same total order the leaves use: most specific wins, ties broken by
-// installation order. Merging two sub-DAG results with it is therefore
-// identical to picking the best over the union of their candidate sets.
-const FilterRecord* more_specific(const FilterRecord* a,
-                                  const FilterRecord* b) noexcept {
-  if (!a) return b;
-  if (!b) return a;
-  const int c = compare_specificity(a->filter, b->filter);
-  if (c != 0) return c > 0 ? a : b;
-  return a->id < b->id ? a : b;
-}
-
-}  // namespace
 
 const FilterRecord* DagFilterTable::match_from(std::int32_t idx,
                                                const pkt::FlowKey& key) const {
@@ -504,17 +874,18 @@ const FilterRecord* DagFilterTable::match_from(std::int32_t idx,
 }
 
 const FilterRecord* DagFilterTable::lookup(const pkt::FlowKey& key) const {
-  if (dirty_) rebuild();
+  if (!built_) prepare();  // the one-pass build of a table never built
   return match_from(root_, key);
 }
 
 std::string DagFilterTable::dump_dot() const {
-  if (dirty_) rebuild();
+  if (!built_) prepare();
   static constexpr const char* kLevelNames[] = {"src",   "dst",   "proto",
                                                 "sport", "dport", "iface",
                                                 "leaf"};
   std::string out = "digraph filter_dag {\n  rankdir=TB;\n";
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (info_[i].refs == 0) continue;  // on the free list
     const Node& n = nodes_[i];
     if (n.level == kLeaf) {
       out += "  n" + std::to_string(i) + " [shape=box,label=\"" +
@@ -594,11 +965,10 @@ std::size_t LinearFilterTable::rebind_instance(plugin::PluginInstance* from,
   return n;
 }
 
-std::vector<const FilterRecord*> LinearFilterTable::records() const {
-  std::vector<const FilterRecord*> out;
-  out.reserve(records_.size());
-  for (auto& r : records_) out.push_back(r.get());
-  return out;
+const FilterRecord* LinearFilterTable::find(const Filter& f) const {
+  for (const auto& r : records_)
+    if (r->filter == f) return r.get();
+  return nullptr;
 }
 
 std::unique_ptr<FilterTableBase> make_filter_table(

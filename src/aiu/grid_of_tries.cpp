@@ -60,11 +60,10 @@ std::size_t GridOfTries::purge_instance(const plugin::PluginInstance* inst) {
   return before - records_.size();
 }
 
-std::vector<const FilterRecord*> GridOfTries::records() const {
-  std::vector<const FilterRecord*> out;
-  out.reserve(records_.size());
-  for (auto& r : records_) out.push_back(r.get());
-  return out;
+const FilterRecord* GridOfTries::find(const Filter& f) const {
+  for (const auto& r : records_)
+    if (r->filter == f) return r.get();
+  return nullptr;
 }
 
 std::int32_t GridOfTries::src_insert(U128 key, unsigned len) const {

@@ -54,7 +54,7 @@ class GridOfTries final : public FilterTableBase {
       }
     return n;
   }
-  std::vector<const FilterRecord*> records() const override;
+  const FilterRecord* find(const Filter& f) const override;
   void prepare() const override {
     if (dirty_) rebuild();
   }

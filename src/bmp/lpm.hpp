@@ -54,9 +54,8 @@ class LpmEngine {
   // default no-op. bsl overrides it: it updates in place while its set of
   // prefix lengths stays the same, and defers a full build to its next
   // lookup when that set changes or it was never built.
-  // RoutingTable::apply_batch calls it; the DAG classifier's build and
-  // patch do not yet, so a newly built DAG node's bsl engine is still built
-  // on its first packet lookup (ROADMAP.md, first open item).
+  // RoutingTable::apply_batch calls it, and so does the DAG classifier for
+  // every node engine its build or its in-place ops create or change.
   virtual void prepare() {}
 
   virtual std::string_view name() const = 0;

@@ -159,12 +159,6 @@ IpPrefix::IpPrefix(IpAddr a, unsigned l) : addr(a), len(static_cast<std::uint8_t
   addr.v = a.ver == IpVersion::v4 ? (key >> 96) : key;
 }
 
-bool IpPrefix::contains(const IpAddr& a) const {
-  if (len == 0) return true;  // a full wildcard matches either family
-  if (a.ver != addr.ver) return false;
-  return (a.key() & U128::prefix_mask(len)) == addr.key();
-}
-
 bool IpPrefix::covers(const IpPrefix& other) const {
   if (len == 0) return true;  // a full wildcard covers either family
   if (other.addr.ver != addr.ver || other.len < len) return false;

@@ -85,7 +85,11 @@ struct IpPrefix {
   constexpr IpPrefix() = default;
   IpPrefix(IpAddr a, unsigned l);
 
-  bool contains(const IpAddr& a) const;
+  bool contains(const IpAddr& a) const {
+    if (len == 0) return true;  // a full wildcard matches either family
+    if (a.ver != addr.ver) return false;
+    return (a.key() & U128::prefix_mask(len)) == addr.key();
+  }
   // True if *this contains every address `other` contains.
   bool covers(const IpPrefix& other) const;
 

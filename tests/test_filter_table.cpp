@@ -1,17 +1,26 @@
 // Tests for the DAG classifier against the linear-scan reference, including
 // the paper's own Table 1 example, set-pruning correctness, ambiguity
 // resolution on overlapping port ranges, and randomized equivalence sweeps
-// parameterized over BMP engines and the collapse optimization.
+// parameterized over BMP engines and the collapse optimization. The
+// in-place patch is checked against a fresh build after every batch
+// (DagPatchProperty), and the lookups after a control op against an
+// allocation counter (DagNoPacketPathBuild).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "aiu/aiu.hpp"
 #include "aiu/filter_table.hpp"
+#include "alloc_count.hpp"
 #include "netbase/memaccess.hpp"
+#include "plugin/pcu.hpp"
 #include "tgen/workload.hpp"
 
 namespace rp::aiu {
 namespace {
 
 using netbase::MemAccess;
+using netbase::MemAccessScope;
 using netbase::Rng;
 
 pkt::FlowKey key(const char* src, const char* dst, std::uint8_t proto,
@@ -294,6 +303,268 @@ TEST(DagFilterTable, CollapseReducesNodeCount) {
   }
   EXPECT_LT(a.node_count(), b.node_count());
 }
+
+// ---------------------------------------------------------------------------
+// In-place patching: after every batch of adds, removes, re-adds and
+// rebinds, the patched DAG must be the DAG a fresh build of the live filters
+// makes — the same reachable node count, the same result record and the same
+// MemAccess count for every probe — and the patch's work must follow what
+// changed, not the table's size.
+
+// dual_stack draws half the filters from each family; its `ver` is unused.
+enum class Mix { wildcard_heavy, port_range_heavy, dual_stack };
+
+struct PatchParam {
+  const char* engine;
+  bool collapse;
+  netbase::IpVersion ver;
+  Mix mix;
+  std::uint64_t seed;
+};
+
+void PrintTo(const PatchParam& p, std::ostream* os) {
+  *os << '(' << p.engine << ", " << (p.collapse ? "collapse" : "no-collapse")
+      << ", ";
+  if (p.mix == Mix::dual_stack)
+    *os << "v4+v6";
+  else
+    *os << (p.ver == netbase::IpVersion::v4 ? "v4, " : "v6, ")
+        << (p.mix == Mix::wildcard_heavy ? "wildcard-heavy" : "port-range-heavy");
+  *os << ", seed=" << p.seed << ')';
+}
+
+class DagPatchProperty : public ::testing::TestWithParam<PatchParam> {};
+
+// A patch may visit a node or touch an edge at most this many times per op
+// and per node it creates, changes or frees (the sweep's worst batch reads
+// ~3). Re-deriving the DAG from the root visits every root edge, 160-260
+// here, whatever the batch changes: several times the bound for a typical
+// batch of a few ops and a few dozen changed nodes.
+constexpr std::uint64_t kWorkPerChange = 4;
+
+TEST_P(DagPatchProperty, PatchedDagIsAFreshBuild) {
+  const PatchParam& prm = GetParam();
+  DagFilterTable::Options opt;
+  opt.bmp_engine = prm.engine;
+  opt.collapse = prm.collapse;
+
+  tgen::FilterSetSpec spec;
+  spec.count = 480;
+  spec.ver = prm.ver;
+  spec.seed = prm.seed;
+  if (prm.mix == Mix::wildcard_heavy) {
+    spec.p_wild_src = 0.5;
+    spec.p_wild_dst = 0.5;
+    spec.p_wild_proto = 0.6;
+  } else if (prm.mix == Mix::port_range_heavy) {
+    spec.p_port_exact = 0.3;
+    spec.p_port_range = 0.5;
+  }
+  std::vector<Filter> generated = tgen::random_filters(spec);
+  if (prm.mix == Mix::dual_stack) {
+    spec.ver = prm.ver == netbase::IpVersion::v4 ? netbase::IpVersion::v6
+                                                 : netbase::IpVersion::v4;
+    const std::vector<Filter> other = tgen::random_filters(spec);
+    for (std::size_t i = 1; i < generated.size(); i += 2) generated[i] = other[i];
+  }
+  std::vector<Filter> universe;
+  for (const Filter& f : generated)
+    if (std::find(universe.begin(), universe.end(), f) == universe.end())
+      universe.push_back(f);
+  ASSERT_GT(universe.size(), 400u);
+
+  auto* inst_a = reinterpret_cast<plugin::PluginInstance*>(16);
+  auto* inst_b = reinterpret_cast<plugin::PluginInstance*>(32);
+  // The live set in record-id order: a fresh table filled in this order
+  // breaks specificity ties the way the patched one does.
+  std::vector<std::pair<Filter, plugin::PluginInstance*>> live;
+  std::vector<Filter> removed;
+  std::size_t next_fresh = 320;
+
+  DagFilterTable dag(opt);
+  for (std::size_t i = 0; i < next_fresh; ++i) {
+    live.push_back({universe[i], i % 3 ? inst_a : inst_b});
+    dag.insert(universe[i], live.back().second);
+  }
+  dag.prepare();
+  ASSERT_EQ(dag.rebuild_count(), 1u);
+
+  Rng rng(prm.seed * 0x9e3779b97f4a7c15ULL + 11);
+  std::vector<pkt::FlowKey> probes;
+  for (int i = 0; i < 300; ++i)
+    probes.push_back(i % 2 ? tgen::random_key(rng, i % 4 == 1 ? prm.ver : spec.ver)
+                           : tgen::matching_key(
+                                 universe[rng.below(universe.size())], rng));
+
+  auto check = [&](const char* when) {
+    SCOPED_TRACE(when);
+    DagFilterTable fresh(opt);
+    for (const auto& [f, inst] : live) fresh.insert(f, inst);
+    fresh.prepare();
+    ASSERT_EQ(dag.size(), live.size());
+    ASSERT_EQ(dag.reachable_node_count(), fresh.reachable_node_count());
+    ASSERT_EQ(dag.node_count(), dag.reachable_node_count());  // nothing leaked
+    for (const pkt::FlowKey& k : probes) {
+      MemAccess::reset();
+      const FilterRecord* got = dag.lookup(k);
+      const std::uint64_t got_accesses = MemAccess::total();
+      MemAccess::reset();
+      const FilterRecord* want = fresh.lookup(k);
+      const std::uint64_t want_accesses = MemAccess::total();
+      ASSERT_EQ(got == nullptr, want == nullptr) << k.to_string();
+      if (got) {
+        ASSERT_EQ(got->filter, want->filter) << k.to_string();
+        ASSERT_EQ(got->instance, want->instance) << k.to_string();
+      }
+      ASSERT_EQ(got_accesses, want_accesses) << k.to_string();
+    }
+  };
+
+  for (int batch = 0; batch < 24; ++batch) {
+    const DagFilterTable::PatchStats before = dag.patch_stats();
+    const std::size_t n_ops = 1 + rng.below(10);
+    for (std::size_t o = 0; o < n_ops; ++o) {
+      const std::uint64_t pick = rng.below(10);
+      if (pick < 4 && next_fresh < universe.size()) {  // add a fresh filter
+        live.push_back({universe[next_fresh++], inst_a});
+        dag.insert(live.back().first, inst_a);
+      } else if (pick < 7 && !live.empty()) {  // remove a live one
+        const std::size_t v = rng.below(live.size());
+        ASSERT_EQ(dag.remove(live[v].first), Status::ok);
+        removed.push_back(live[v].first);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(v));
+      } else if (pick < 9 && !removed.empty()) {  // re-add a removed one
+        const std::size_t v = rng.below(removed.size());
+        live.push_back({removed[v], inst_b});
+        dag.insert(removed[v], inst_b);
+        removed.erase(removed.begin() + static_cast<std::ptrdiff_t>(v));
+      } else if (!live.empty()) {  // rebind: same record, new instance
+        auto& [f, inst] = live[rng.below(live.size())];
+        inst = inst == inst_a ? inst_b : inst_a;
+        dag.insert(f, inst);
+      }
+    }
+    dag.patch();
+    ASSERT_NO_FATAL_FAILURE(check(("batch " + std::to_string(batch)).c_str()));
+    const DagFilterTable::PatchStats& after = dag.patch_stats();
+    const std::uint64_t ops = after.ops - before.ops;
+    const std::uint64_t work = after.work - before.work;
+    const std::uint64_t changed = after.nodes_changed - before.nodes_changed;
+    EXPECT_LE(work, kWorkPerChange * (ops + changed))
+        << "batch " << batch << ": " << ops << " ops changed " << changed
+        << " nodes";
+  }
+
+  // An instance purge takes the same in-place path.
+  const std::size_t purged = static_cast<std::size_t>(
+      std::count_if(live.begin(), live.end(),
+                    [&](const auto& e) { return e.second == inst_b; }));
+  EXPECT_EQ(dag.purge_instance(inst_b), purged);
+  std::erase_if(live, [&](const auto& e) { return e.second == inst_b; });
+  dag.patch();
+  ASSERT_NO_FATAL_FAILURE(check("purge"));
+  EXPECT_EQ(dag.rebuild_count(), 1u);  // every op after the build was in place
+}
+
+std::vector<PatchParam> patch_params() {
+  std::vector<PatchParam> out;
+  std::uint64_t seed = 101;
+  for (const char* engine : {"bsl", "cpe", "patricia"})
+    for (netbase::IpVersion ver : {netbase::IpVersion::v4, netbase::IpVersion::v6})
+      for (bool collapse : {true, false})
+        for (Mix mix : {Mix::wildcard_heavy, Mix::port_range_heavy})
+          out.push_back({engine, collapse, ver, mix, seed++});
+  for (const char* engine : {"bsl", "cpe", "patricia"})
+    for (bool collapse : {true, false})
+      out.push_back({engine, collapse, netbase::IpVersion::v4,
+                     Mix::dual_stack, seed++});
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, DagPatchProperty,
+                         ::testing::ValuesIn(patch_params()));
+
+// ---------------------------------------------------------------------------
+// A control op leaves nothing for the packet path: after a filter batch, a
+// create_filter or a remove_filter on a built table, the first lookups of a
+// key set allocate nothing (no engine is built on first use) and cost the
+// MemAccess count of the same lookups repeated. MemAccess alone cannot see
+// a deferred bsl build, which counts no access; the allocation count can.
+
+class DagNoPacketPathBuild : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(DagNoPacketPathBuild, FirstLookupAfterAControlOpAllocatesNothing) {
+  netbase::SimClock clock;
+  plugin::PluginControlUnit pcu;
+  Aiu::Options opt;
+  opt.dag.bmp_engine = GetParam();
+  Aiu aiu(pcu, clock, opt);
+  constexpr auto kGate = plugin::PluginType::stats;
+
+  tgen::FilterSetSpec spec;
+  spec.count = 2048 + 6 * 32 + 1;
+  spec.seed = 2026;
+  std::vector<Filter> filters;
+  for (const Filter& f : tgen::random_filters(spec))
+    if (std::find(filters.begin(), filters.end(), f) == filters.end())
+      filters.push_back(f);
+  const std::size_t base = filters.size() - 6 * 32 - 1;
+
+  std::vector<Aiu::FilterOp> ops;
+  for (std::size_t i = 0; i < base; ++i)
+    ops.push_back({Aiu::FilterOp::Kind::add, kGate, filters[i], nullptr});
+  aiu.apply_filter_batch(ops);
+  const auto* dag = dynamic_cast<const DagFilterTable*>(aiu.filter_table(kGate));
+  ASSERT_NE(dag, nullptr);
+
+  Rng rng(5);
+  std::vector<pkt::FlowKey> keys;
+  for (int i = 0; i < 256; ++i)
+    keys.push_back(i % 2 ? tgen::random_key(rng)
+                         : tgen::matching_key(filters[rng.below(filters.size())], rng));
+
+  auto probe = [&](const std::string& after) {
+    SCOPED_TRACE(after);
+    std::uint64_t first_accesses = 0, second_accesses = 0;
+    {
+      rp::testing::AllocCount allocs;
+      MemAccessScope scope;
+      for (const pkt::FlowKey& k : keys) dag->lookup(k);
+      first_accesses = scope.elapsed();
+      EXPECT_EQ(allocs.count(), 0u) << "operator new calls in the first lookups";
+    }
+    MemAccessScope scope;
+    for (const pkt::FlowKey& k : keys) dag->lookup(k);
+    second_accesses = scope.elapsed();
+    EXPECT_EQ(first_accesses, second_accesses);
+  };
+  probe("base batch");
+
+  // The benchmark's stream: each batch adds 32 fresh filters and removes
+  // the previous batch's.
+  std::size_t next = base;
+  for (int b = 0; b < 6; ++b) {
+    ops.clear();
+    for (int j = 0; j < 32; ++j)
+      ops.push_back({Aiu::FilterOp::Kind::add, kGate, filters[next + j], nullptr});
+    if (b > 0)
+      for (int j = 0; j < 32; ++j)
+        ops.push_back({Aiu::FilterOp::Kind::remove, kGate,
+                       filters[next - 32 + j], nullptr});
+    next += 32;
+    const auto res = aiu.apply_filter_batch(ops);
+    EXPECT_EQ(res.failed, 0u);
+    probe("batch " + std::to_string(b));
+  }
+  ASSERT_EQ(aiu.create_filter(kGate, filters[next], nullptr), Status::ok);
+  probe("create_filter");
+  ASSERT_EQ(aiu.remove_filter(kGate, filters[0]), Status::ok);
+  probe("remove_filter");
+  EXPECT_EQ(dag->rebuild_count(), 1u);  // one build, then in-place ops only
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, DagNoPacketPathBuild,
+                         ::testing::Values("bsl", "cpe", "patricia"));
 
 }  // namespace
 }  // namespace rp::aiu
