@@ -8,7 +8,7 @@
 // IpCore runs one grouped engine for every gate order, so the two rows
 // should cost the same; `order_ratio` (row 2 over row 1) near 1.0 says no
 // order pays for another's specialization. bench_t4_burst measures bursts
-// of one (the per-packet loop) against bursts of 32.
+// of one (the engine's lone-survivor steps) against bursts of 32.
 //
 // The plugins are batch-native no-ops (handle_burst overridden), so the
 // rows isolate dispatch cost: gate_lookup + supervisor guard + virtual call

@@ -137,6 +137,19 @@ ASAN_OPTIONS=detect_leaks=1 ctest --test-dir "$repo/build-asan" \
   --output-on-failure \
   -R 'DagPatchProperty|DagEquivalence|ClassifierProperty|FilterFuzz|ChurnDiff\.Filter'
 
+echo "== core: gate-engine differentials under ASan/UBSan =="
+# IpCore forwards every chunk through one gate engine, whose deferred output
+# ops own raw packet pointers and whose no-cache path copies each packet's
+# binding out of the AIU's shared scratch, so a lifetime slip shows only
+# under the sanitizer: chunked vs one-at-a-time (GateBatch,
+# BurstEquivalence, with the flow cache on and off), sharded vs single
+# stack (ShardDiff.GateBatch*) and the adversarial stream
+# (WireFuzz.GateBatch*). Most already ran in the lanes above; re-run them
+# as a named stage so an engine regression is called out by the banner.
+ASAN_OPTIONS=detect_leaks=1 ctest --test-dir "$repo/build-asan" \
+  --output-on-failure \
+  -R 'GateBatch|BurstEquivalence|ShardDiff\.GateBatch|WireFuzz\.GateBatch'
+
 echo "== tier 3: TSan build + parallel/chaos tests =="
 # ThreadSanitizer over everything that runs worker threads: the sharded
 # datapath suites (SPSC rings, epoch reclamation, differential replay,

@@ -117,11 +117,6 @@ class Aiu {
   FlowTable& flow_table() noexcept { return flows_; }
   const Stats& stats() const noexcept { return stats_; }
 
-  // Whether the flow cache is on. The grouped gate dispatcher requires it:
-  // with the cache disabled gate_lookup hands out aliasing scratch bindings
-  // (see below), so the core falls back to the per-packet gate loop there.
-  bool flow_cache_enabled() const noexcept { return opt_.flow_cache_enabled; }
-
   // -- data path --
 
   // The body of the gate macro: returns the binding (instance + per-flow

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "netbase/byteorder.hpp"
 #include "netbase/checksum.hpp"
@@ -48,9 +49,6 @@ void IpCore::process(pkt::PacketPtr p) {
 
 void IpCore::process_burst(std::span<pkt::PacketPtr> batch) {
   ++burst_depth_;
-  // The grouped engine needs stable per-packet bindings, which only the flow
-  // cache provides (the no-cache ablation hands out shared scratch bindings).
-  const bool groupable = aiu_.flow_cache_enabled();
   pkt::Packet* live[aiu::Aiu::kMaxBurst];
   pkt::PacketPtr* slots[aiu::Aiu::kMaxBurst];
   for (std::size_t base = 0; base < batch.size();
@@ -75,25 +73,34 @@ void IpCore::process_burst(std::span<pkt::PacketPtr> batch) {
         slots[n_live] = &p;
         live[n_live++] = p.get();
       }
+    if (n_live == 0) continue;
 
     // Stage 2: one AIU pass resolves every survivor's flow index with
     // precomputed hashes and flow-table prefetch.
     aiu_.resolve_flows_burst({live, n_live});
 
-    // Stage 3a (grouped): partition by resolved instance at each gate and
-    // dispatch once per group; drop/consume splits compact between gates.
-    if (groupable && n_live > 1) {
-      ++counters_.fused_bursts;
-      process_chunk_grouped(slots, n_live);
-      continue;
+    // Stage 3: the gate engine; a lone survivor dispatches per packet there.
+    // Telemetry samples one packet in N here, one tick per packet in
+    // arrival order; a chunk holding a sampled packet takes the traced
+    // instantiation, every other chunk runs with no trace checks at all.
+    if (n_live > 1) ++counters_.fused_bursts;
+#if RP_TELEMETRY
+    if (tel_) {
+      telemetry::TraceRecord* tr[aiu::Aiu::kMaxBurst];
+      std::uint64_t t0[aiu::Aiu::kMaxBurst];
+      bool traced = false;
+      for (std::size_t i = 0; i < n_live; ++i) {
+        tr[i] = tel_->sample_tick() ? tel_->trace_begin(*live[i]) : nullptr;
+        t0[i] = tr[i] ? telemetry::cycles() : 0;
+        traced |= tr[i] != nullptr;
+      }
+      if (traced) [[unlikely]] {
+        process_chunk_grouped<true>(slots, n_live, tr, t0);
+        continue;
+      }
     }
-
-    // Stage 3b: the per-packet loop. A single survivor has nothing to group,
-    // and for one packet (process(), paced traffic) this loop is cheaper
-    // than the grouped engine's setup; every gate lookup is a direct
-    // flow-table array access.
-    for (auto& p : chunk)
-      if (p) process_classified(std::move(p));
+#endif
+    process_chunk_grouped<false>(slots, n_live, nullptr, nullptr);
   }
   // Apply deferred breaker rebinds only at the outermost burst boundary:
   // ICMP errors re-enter via process(), and purging flow entries while
@@ -153,132 +160,52 @@ bool IpCore::validate(pkt::PacketPtr& p) {
   return true;
 }
 
-void IpCore::process_classified(pkt::PacketPtr p) {
-#if RP_TELEMETRY
-  // The sampled 1-in-N take the Traced instantiation; everyone else pays
-  // exactly one counter decrement (sample_tick) over the pre-telemetry code.
-  if (tel_ && tel_->sample_tick()) [[unlikely]]
-    return process_classified_impl<true>(std::move(p), tel_->trace_begin(*p));
-#endif
-  process_classified_impl<false>(std::move(p), nullptr);
+// Cold and out of line: with the flow cache on every survivor has a record,
+// and a copy inlined into the bind loop measurably slows the cached engine.
+[[gnu::cold, gnu::noinline]] aiu::GateBinding* IpCore::uncached_binding(
+    pkt::Packet& p, PluginType gate, BindingSlot& slot) {
+  aiu::GateBinding* b = aiu_.gate_lookup(p, gate);
+  return b ? ::new (static_cast<void*>(slot.raw)) aiu::GateBinding(*b)
+           : nullptr;
 }
 
-template <bool Traced>
-void IpCore::process_classified_impl(pkt::PacketPtr p,
-                                     [[maybe_unused]] telemetry::TraceRecord* tr) {
-  [[maybe_unused]] std::uint64_t t_start = 0;
-  if constexpr (Traced) t_start = telemetry::cycles();
-
+// Always inlined into the engine: a lone packet's tail is the whole output
+// path of paced traffic, and GCC otherwise calls it out of line there.
+template <bool Traced, bool SkipGates, class Emit>
+[[gnu::always_inline]] inline void IpCore::finish_packet(
+    pkt::PacketPtr p, [[maybe_unused]] telemetry::TraceRecord* tr,
+    [[maybe_unused]] std::uint64_t t_start, FwdMemo& memo,
+    [[maybe_unused]] aiu::FlowRecord* frp, [[maybe_unused]] BindingSlot& nc,
+    Emit&& emit) {
   auto finish_drop = [&](pkt::PacketPtr q, DropReason r) {
     if constexpr (Traced)
       tel_->trace_end(tr, telemetry::Disposition::dropped,
                       static_cast<std::uint8_t>(r), pkt::kAnyIface,
                       telemetry::cycles() - t_start);
     drop(std::move(q), r);
-  };
-  // Dispatches one gate, timing the plugin call on the traced instantiation.
-  // With a supervisor attached the call runs through its guard (containment
-  // + breaker); without one this is exactly the pre-resilience direct call.
-  auto run_gate = [&](PluginType gate, aiu::GateBinding* b) {
-    ++counters_.gate_calls;
-    if constexpr (Traced) {
-      const std::uint64_t c0 = telemetry::cycles();
-      resilience::Decision d =
-          res_ ? res_->dispatch(gate, *b, *p)
-               : resilience::Decision{
-                     b->instance->handle_packet(*p, &b->soft), false};
-      tel_->record_gate(tr, gate, static_cast<std::uint8_t>(d.verdict),
-                        telemetry::cycles() - c0);
-      return d;
-    } else {
-      if (res_) [[likely]]
-        return res_->dispatch(gate, *b, *p);
-      return resilience::Decision{b->instance->handle_packet(*p, &b->soft),
-                                  false};
-    }
-  };
-
-  // ---- pre-routing gates (Section 3.2) ----
-  for (PluginType gate : cfg_.input_gates) {
-    aiu::GateBinding* b = aiu_.gate_lookup(*p, gate);
-    if (!b || !b->instance) continue;  // no plugin bound for this flow
-    resilience::Decision d = run_gate(gate, b);
-    if (d.verdict == Verdict::drop)
-      return finish_drop(std::move(p), d.fault_drop ? DropReason::plugin_fault
-                                                    : DropReason::policy);
-    if (d.verdict == Verdict::consumed) {  // plugin took the packet
-      if constexpr (Traced)
-        tel_->trace_end(tr, telemetry::Disposition::consumed, 0,
-                        pkt::kAnyIface, telemetry::cycles() - t_start);
-      return;
-    }
-  }
-
-  // ---- tail: forwarding decision, TTL, MTU, output ----
-  finish_packet<Traced, false, false>(
-      std::move(p), tr, t_start, nullptr, nullptr,
-      [this](pkt::PacketPtr q, aiu::GateBinding* b, telemetry::TraceRecord* tr2,
-             std::uint64_t ts) {
-        enqueue_output<Traced>(std::move(q), b, tr2, ts);
-      });
-}
-
-// The tail shared by process_classified_impl and the grouped engine; the
-// differences are what `emit` does with an output-bound packet (enqueue
-// immediately vs defer into the chunk's op list) and whether the chunk-scoped
-// memo / inline binding accessors are used (UseMemo — the grouped engine; the
-// per-packet path compiles to exactly the pre-batching tail).
-template <bool Traced, bool UseMemo, bool SkipGates, class Emit>
-void IpCore::finish_packet(pkt::PacketPtr p,
-                           [[maybe_unused]] telemetry::TraceRecord* tr,
-                           [[maybe_unused]] std::uint64_t t_start,
-                           [[maybe_unused]] FwdMemo* memo,
-                           [[maybe_unused]] aiu::FlowRecord* frp, Emit&& emit) {
-  static_assert(UseMemo || !SkipGates, "SkipGates requires the grouped tail");
-  auto finish_drop = [&](pkt::PacketPtr q, DropReason r) {
-    if constexpr (Traced)
-      tel_->trace_end(tr, telemetry::Disposition::dropped,
-                      static_cast<std::uint8_t>(r), pkt::kAnyIface,
-                      telemetry::cycles() - t_start);
-    drop(std::move(q), r);
-  };
-  auto run_gate = [&](PluginType gate, aiu::GateBinding* b) {
-    ++counters_.gate_calls;
-    if constexpr (Traced) {
-      const std::uint64_t c0 = telemetry::cycles();
-      resilience::Decision d =
-          res_ ? res_->dispatch(gate, *b, *p)
-               : resilience::Decision{
-                     b->instance->handle_packet(*p, &b->soft), false};
-      tel_->record_gate(tr, gate, static_cast<std::uint8_t>(d.verdict),
-                        telemetry::cycles() - c0);
-      return d;
-    } else {
-      if (res_) [[likely]]
-        return res_->dispatch(gate, *b, *p);
-      return resilience::Decision{b->instance->handle_packet(*p, &b->soft),
-                                  false};
-    }
   };
 
   // ---- forwarding decision ----
   // The routing gate (L4 switching) may pre-empt the destination lookup.
-  // It stays per-packet even under grouped dispatch: its verdict gates a
-  // per-packet control decision, and it is unbound in every built-in
-  // configuration.
+  // It stays per-packet: its verdict gates a per-packet control decision,
+  // and it is unbound in every built-in configuration.
   if constexpr (!SkipGates) {
     if (p->out_iface == pkt::kAnyIface) {
-      aiu::GateBinding* b;
-      if constexpr (UseMemo) {
-        constexpr std::size_t kGiRouting =
-            aiu::gate_index(PluginType::routing);
-        b = frp ? &frp->gates[kGiRouting]
-                : aiu_.gate_lookup(*p, PluginType::routing);
-      } else {
-        b = aiu_.gate_lookup(*p, PluginType::routing);
-      }
+      constexpr std::size_t kGiRouting = aiu::gate_index(PluginType::routing);
+      aiu::GateBinding* b = frp ? &frp->gates[kGiRouting]
+                                : uncached_binding(*p, PluginType::routing, nc);
       if (b && b->instance) {
-        resilience::Decision d = run_gate(PluginType::routing, b);
+        ++counters_.gate_calls;
+        [[maybe_unused]] std::uint64_t c0 = 0;
+        if constexpr (Traced) c0 = telemetry::cycles();
+        resilience::Decision d =
+            res_ ? res_->dispatch(PluginType::routing, *b, *p)
+                 : resilience::Decision{
+                       b->instance->handle_packet(*p, &b->soft), false};
+        if constexpr (Traced)
+          tel_->record_gate(tr, PluginType::routing,
+                            static_cast<std::uint8_t>(d.verdict),
+                            telemetry::cycles() - c0);
         if (d.verdict == Verdict::drop)
           return finish_drop(std::move(p), d.fault_drop
                                                ? DropReason::plugin_fault
@@ -291,17 +218,13 @@ void IpCore::finish_packet(pkt::PacketPtr p,
     // walk runs once per run of same-dst packets (lookup is const — the
     // cached pointer is exactly what a fresh lookup would return).
     const route::NextHop* hop;
-    if constexpr (UseMemo) {
-      if (memo->dst_valid && memo->dst == p->key.dst) {
-        hop = memo->hop;
-      } else {
-        hop = routes_.lookup(p->key.dst);
-        memo->dst = p->key.dst;
-        memo->hop = hop;
-        memo->dst_valid = true;
-      }
+    if (memo.dst_valid && memo.dst == p->key.dst) {
+      hop = memo.hop;
     } else {
       hop = routes_.lookup(p->key.dst);
+      memo.dst = p->key.dst;
+      memo.hop = hop;
+      memo.dst_valid = true;
     }
     if (!hop) {
       if (cfg_.emit_icmp_errors && p->ip_version == IpVersion::v4)
@@ -310,21 +233,14 @@ void IpCore::finish_packet(pkt::PacketPtr p,
     }
     p->out_iface = hop->out_iface;
   }
-  [[maybe_unused]] netdev::SimNic* nic = nullptr;
-  if constexpr (UseMemo) {
-    if (memo->nic && memo->oif == p->out_iface) {
-      nic = memo->nic;
-    } else {
-      nic = ifs_.by_index(p->out_iface);
-      if (nic) {
-        memo->oif = p->out_iface;
-        memo->nic = nic;
-      }
-    }
-    if (!nic) return finish_drop(std::move(p), DropReason::no_route);
+  netdev::SimNic* nic;
+  if (memo.nic && memo.oif == p->out_iface) {
+    nic = memo.nic;
   } else {
-    if (!ifs_.by_index(p->out_iface))
-      return finish_drop(std::move(p), DropReason::no_route);
+    nic = ifs_.by_index(p->out_iface);
+    if (!nic) return finish_drop(std::move(p), DropReason::no_route);
+    memo.oif = p->out_iface;
+    memo.nic = nic;
   }
 
   // ---- TTL / hop limit, with RFC 1624 incremental checksum update ----
@@ -343,19 +259,13 @@ void IpCore::finish_packet(pkt::PacketPtr p,
   }
 
   // ---- MTU handling (RFC 791 fragmentation) ----
-  aiu::GateBinding* b;
-  std::size_t mtu;
-  if constexpr (SkipGates) {
-    b = nullptr;  // sched gate provably unbound for the chunk
-    mtu = nic->mtu();
-  } else if constexpr (UseMemo) {
+  aiu::GateBinding* b = nullptr;  // SkipGates: sched gate provably unbound
+  if constexpr (!SkipGates) {
     constexpr std::size_t kGiSched = aiu::gate_index(PluginType::sched);
-    b = frp ? &frp->gates[kGiSched] : aiu_.gate_lookup(*p, PluginType::sched);
-    mtu = nic->mtu();
-  } else {
-    b = aiu_.gate_lookup(*p, PluginType::sched);
-    mtu = ifs_.by_index(p->out_iface)->mtu();
+    b = frp ? &frp->gates[kGiSched]
+            : uncached_binding(*p, PluginType::sched, nc);
   }
+  const std::size_t mtu = nic->mtu();
   if (p->size() > mtu) {
     const bool df = p->ip_version == IpVersion::v4 &&
                     (p->data()[6] & 0x40) != 0;  // Don't Fragment
@@ -385,32 +295,22 @@ void IpCore::finish_packet(pkt::PacketPtr p,
   emit(std::move(p), b, tr, t_start);
 }
 
-// ---- grouped (batch-native) gate dispatch --------------------------------
+// ---- the gate engine ------------------------------------------------------
 //
 // The engine never reorders packets: the live list stays in arrival order
 // and each group is *gathered* into per-group scratch arrays, so a flow's
-// packets — and the chunk's egress — leave in exactly the per-packet path's
-// order. Counter equivalence is exact: gate_calls advances once per packet
-// dispatched (the breaker windows are anchored to it); the group counters
-// ride alongside.
-void IpCore::process_chunk_grouped(pkt::PacketPtr** slots, std::size_t n) {
+// packets — and the chunk's egress — leave in exactly the order process()
+// fed one at a time gives. Counter equivalence is exact: gate_calls
+// advances once per packet dispatched (the breaker windows are anchored to
+// it); the group counters ride alongside. Chunk size selects only how a
+// lone survivor is served: its gates dispatch per packet (no group is
+// counted) and its output is enqueued in place.
+template <bool Traced>
+void IpCore::process_chunk_grouped(
+    pkt::PacketPtr** slots, std::size_t n,
+    [[maybe_unused]] telemetry::TraceRecord* const* tr,
+    [[maybe_unused]] const std::uint64_t* t0) {
   constexpr std::size_t kMax = aiu::Aiu::kMaxBurst;
-
-  // Per-packet trace state; the sampling cadence (one tick per packet, in
-  // arrival order) is identical to the per-packet path's. With no telemetry
-  // sink attached the arrays stay uninitialized and every read site is
-  // guarded on tel_.
-#if RP_TELEMETRY
-  telemetry::TraceRecord* tr[kMax];
-  std::uint64_t t0[kMax];
-  if (tel_) {
-    for (std::size_t i = 0; i < n; ++i) {
-      tr[i] = tel_->sample_tick() ? tel_->trace_begin(*slots[i]->get())
-                                  : nullptr;
-      t0[i] = tr[i] ? telemetry::cycles() : 0;
-    }
-  }
-#endif
 
   // Live packets in arrival order: slot indices plus parallel raw-pointer
   // arrays (packet, flow record), compacted together, so the gate loops
@@ -418,10 +318,13 @@ void IpCore::process_chunk_grouped(pkt::PacketPtr** slots, std::size_t n) {
   // indexed load off the hoisted record. The records stay put through the
   // gate stage (plugins never re-enter the core); the tail looks each one
   // up again, because an ICMP error re-entering process() there may grow
-  // the flow table and move every record.
+  // the flow table and move every record. A packet without a record (the
+  // no-cache ablation) gets its bindings copied into nc[] instead, indexed
+  // like the live list.
   std::size_t live[kMax];
   pkt::Packet* lp[kMax];
   aiu::FlowRecord* fr[kMax];
+  BindingSlot nc[kMax];
   std::size_t n_live = n;
   aiu::FlowTable& flows = aiu_.flow_table();
   // Union of the chunk's bound-gate masks: one test skips a whole gate (or
@@ -438,12 +341,60 @@ void IpCore::process_chunk_grouped(pkt::PacketPtr** slots, std::size_t n) {
 
   Verdict verdict[kMax];
   bool fdrop[kMax];
+  // Ends the packet in slot `s` at an input gate: a drop, or a plugin that
+  // consumed it (the core's ownership ends either way).
+  auto end_at_gate = [&](std::size_t s, Verdict v, bool fault) {
+    const DropReason r = fault ? DropReason::plugin_fault : DropReason::policy;
+    if constexpr (Traced)
+      if (tr[s])
+        tel_->trace_end(tr[s],
+                        v == Verdict::drop ? telemetry::Disposition::dropped
+                                           : telemetry::Disposition::consumed,
+                        v == Verdict::drop ? static_cast<std::uint8_t>(r) : 0,
+                        pkt::kAnyIface, telemetry::cycles() - t0[s]);
+    if (v == Verdict::drop)
+      drop(std::move(*slots[s]), r);
+    else
+      slots[s]->reset();
+  };
 
   for (PluginType gate : cfg_.input_gates) {
     if (n_live == 0) break;
     const std::size_t gi = aiu::gate_index(gate);
     if (!(bound_union & (std::uint32_t{1} << gi)))
       continue;  // gate unbound for every live flow: provably a no-op
+
+    if (n_live == 1) [[likely]] {
+      // A lone survivor has nothing to group: one binding load and one
+      // handle_packet call through the supervisor's per-packet guard. Its
+      // binding is used before anything else can look one up, so the
+      // no-cache scratch needs no copy. Laid out as the fall-through: for
+      // paced traffic this is the whole gate stage, while a larger chunk
+      // pays one branch per gate.
+      aiu::GateBinding* b =
+          fr[0] ? &fr[0]->gates[gi] : aiu_.gate_lookup(*lp[0], gate);
+      if (!b || !b->instance) continue;
+      ++counters_.gate_calls;
+      [[maybe_unused]] telemetry::TraceRecord* t = nullptr;
+      [[maybe_unused]] std::uint64_t c0 = 0;
+      if constexpr (Traced)
+        if ((t = tr[live[0]])) c0 = telemetry::cycles();
+      const resilience::Decision d =
+          res_ ? res_->dispatch(gate, *b, *lp[0])
+               : resilience::Decision{
+                     b->instance->handle_packet(*lp[0], &b->soft), false};
+      if constexpr (Traced)
+        if (t)
+          tel_->record_gate(t, gate, static_cast<std::uint8_t>(d.verdict),
+                            telemetry::cycles() - c0);
+      // The bare path reads an out-of-enum verdict as cont, as the batch
+      // path does.
+      if (d.verdict == Verdict::drop || d.verdict == Verdict::consumed) {
+        end_at_gate(live[0], d.verdict, d.fault_drop);
+        n_live = 0;
+      }
+      continue;
+    }
 
     // Bindings for every live packet: resolve_flows_burst already set every
     // FIX, so each lookup is one indexed load off the hoisted flow record,
@@ -457,7 +408,7 @@ void IpCore::process_chunk_grouped(pkt::PacketPtr** slots, std::size_t n) {
     bool mixed = false;
     for (std::size_t k = 0; k < n_live; ++k) {
       aiu::GateBinding* b =
-          fr[k] ? &fr[k]->gates[gi] : aiu_.gate_lookup(*lp[k], gate);
+          fr[k] ? &fr[k]->gates[gi] : uncached_binding(*lp[k], gate, nc[k]);
       bind[k] = b;
       // Speculative per-packet state for the no-gather dispatch below; the
       // gather path refills its own scratch, so a mixed chunk just wastes
@@ -489,23 +440,23 @@ void IpCore::process_chunk_grouped(pkt::PacketPtr** slots, std::size_t n) {
       counters_.gate_group_pkts += m;
       ++counters_.group_size_hist[CoreCounters::group_hist_bucket(m)];
       plugin::PacketRun run(gp, gsoft, gv, m);
-#if RP_TELEMETRY
-      bool timed = false;
-      if (tel_)
+      [[maybe_unused]] bool timed = false;
+      [[maybe_unused]] std::uint64_t c0 = 0;
+      if constexpr (Traced) {
         for (std::size_t x = 0; x < m && !timed; ++x)
           timed = tr[live[pos ? pos[x] : x]] != nullptr;
-      const std::uint64_t c0 = timed ? telemetry::cycles() : 0;
-#endif
+        if (timed) c0 = telemetry::cycles();
+      }
       resilience::Decision d{};
       if (res_) {
         d = res_->dispatch_run(gate, inst, [&] { inst.handle_burst(run); });
       } else {
         inst.handle_burst(run);
       }
-#if RP_TELEMETRY
       // Traced members record the amortized per-packet cost of the group.
-      const std::uint64_t dc = timed ? (telemetry::cycles() - c0) / m : 0;
-#endif
+      [[maybe_unused]] std::uint64_t dc = 0;
+      if constexpr (Traced)
+        if (timed) dc = (telemetry::cycles() - c0) / m;
       if (d.fault_drop) {
         // Containment fallback (fail_closed) governs the whole run: a
         // partially-processed run cannot tell which packets the plugin
@@ -525,7 +476,7 @@ void IpCore::process_chunk_grouped(pkt::PacketPtr** slots, std::size_t n) {
               static_cast<std::uint8_t>(Verdict::drop)) [[unlikely]] {
             // Out-of-enum verdict: same fault the per-packet dispatch()
             // raises; the bare (unsupervised) path treats it as cont, like
-            // the per-packet verdict switch.
+            // the lone step.
             if (res_) {
               resilience::Decision bd = res_->bad_verdict(gate, inst);
               v = bd.verdict;
@@ -538,22 +489,21 @@ void IpCore::process_chunk_grouped(pkt::PacketPtr** slots, std::size_t n) {
           any_noncont |= v != Verdict::cont;
         }
       }
-#if RP_TELEMETRY
-      if (timed)
-        for (std::size_t x = 0; x < m; ++x) {
-          const std::size_t k = pos ? pos[x] : x;
-          if (telemetry::TraceRecord* t = tr[live[k]])
-            tel_->record_gate(t, gate,
-                              static_cast<std::uint8_t>(verdict[k]), dc);
-        }
-#endif
+      if constexpr (Traced)
+        if (timed)
+          for (std::size_t x = 0; x < m; ++x) {
+            const std::size_t k = pos ? pos[x] : x;
+            if (telemetry::TraceRecord* t = tr[live[k]])
+              tel_->record_gate(t, gate,
+                                static_cast<std::uint8_t>(verdict[k]), dc);
+          }
     };
 
     if (res_ && !res_->quiet()) [[unlikely]] {
       // Injection armed, a budget set, or a breaker non-closed: per-packet
       // dispatch in arrival order keeps those semantics exact — windows,
       // probes, per-packet fallbacks, and each gate's injection rule stream
-      // advance exactly as on the per-packet path.
+      // advance exactly as when the packets arrive one at a time.
       for (std::size_t k = 0; k < n_live; ++k) {
         if (!bind[k] || !bind[k]->instance) {
           verdict[k] = Verdict::cont;
@@ -561,16 +511,15 @@ void IpCore::process_chunk_grouped(pkt::PacketPtr** slots, std::size_t n) {
           continue;
         }
         ++counters_.gate_calls;
-#if RP_TELEMETRY
-        telemetry::TraceRecord* t = tel_ ? tr[live[k]] : nullptr;
-        const std::uint64_t c0 = t ? telemetry::cycles() : 0;
-#endif
+        [[maybe_unused]] telemetry::TraceRecord* t = nullptr;
+        [[maybe_unused]] std::uint64_t c0 = 0;
+        if constexpr (Traced)
+          if ((t = tr[live[k]])) c0 = telemetry::cycles();
         resilience::Decision d = res_->dispatch(gate, *bind[k], *lp[k]);
-#if RP_TELEMETRY
-        if (t)
-          tel_->record_gate(t, gate, static_cast<std::uint8_t>(d.verdict),
-                            telemetry::cycles() - c0);
-#endif
+        if constexpr (Traced)
+          if (t)
+            tel_->record_gate(t, gate, static_cast<std::uint8_t>(d.verdict),
+                              telemetry::cycles() - c0);
         verdict[k] = d.verdict;
         fdrop[k] = d.fault_drop;
         any_noncont |= d.verdict != Verdict::cont;
@@ -613,54 +562,35 @@ void IpCore::process_chunk_grouped(pkt::PacketPtr** slots, std::size_t n) {
     if (!any_noncont) continue;  // every verdict cont: nothing to compact
     std::size_t w = 0;
     for (std::size_t k = 0; k < n_live; ++k) {
-      const std::size_t s = live[k];
-      switch (verdict[k]) {
-        case Verdict::cont:
-          live[w] = s;
-          lp[w] = lp[k];
-          fr[w] = fr[k];
-          ++w;
-          break;
-        case Verdict::drop:
-#if RP_TELEMETRY
-          if (tel_ && tr[s])
-            tel_->trace_end(tr[s], telemetry::Disposition::dropped,
-                            static_cast<std::uint8_t>(
-                                fdrop[k] ? DropReason::plugin_fault
-                                         : DropReason::policy),
-                            pkt::kAnyIface, telemetry::cycles() - t0[s]);
-#endif
-          drop(std::move(*slots[s]), fdrop[k] ? DropReason::plugin_fault
-                                              : DropReason::policy);
-          break;
-        case Verdict::consumed:
-          // Same as the per-packet path's early return: the core's
-          // ownership ends here.
-#if RP_TELEMETRY
-          if (tel_ && tr[s])
-            tel_->trace_end(tr[s], telemetry::Disposition::consumed, 0,
-                            pkt::kAnyIface, telemetry::cycles() - t0[s]);
-#endif
-          slots[s]->reset();
-          break;
+      if (verdict[k] != Verdict::cont) {
+        end_at_gate(live[k], verdict[k], fdrop[k]);
+        continue;
       }
+      live[w] = live[k];
+      lp[w] = lp[k];
+      fr[w] = fr[k];
+      ++w;
     }
     n_live = w;
   }
 
-  // ---- shared per-packet tail ----
+  // ---- per-packet tail ----
   // Scheduler-bound outputs defer into the op list so same-scheduler runs
   // batch through enqueue_burst; plain FIFO outputs (no scheduler on the
   // port) have nothing to batch and enqueue in place — each queue still
-  // fills in arrival order, so drain order is untouched. emit_icmp_error
-  // flushes cur_ops_ before re-entering process(), so an error datagram
-  // cannot overtake a packet forwarded before it.
+  // fills in arrival order, so drain order is untouched. So does a lone
+  // survivor's output, which has nothing to batch with.
   FwdMemo memo;
-  OutOpList ops;
-  OutOpList* prev = cur_ops_;
-  cur_ops_ = &ops;
-  auto defer = [&](pkt::PacketPtr q, aiu::GateBinding* b,
-                   telemetry::TraceRecord* t, std::uint64_t ts) {
+  const bool lone = n_live == 1;
+  auto emit = [&](pkt::PacketPtr q, aiu::GateBinding* b,
+                  telemetry::TraceRecord* t, std::uint64_t ts) {
+    if (lone) {
+      if (t) [[unlikely]]
+        enqueue_output<true>(std::move(q), b, t, ts);
+      else
+        enqueue_output<false>(std::move(q), b, nullptr, 0);
+      return;
+    }
     OutputScheduler* sched;
     if (b && b->instance) {
       sched = static_cast<OutputScheduler*>(b->instance);
@@ -693,8 +623,8 @@ void IpCore::process_chunk_grouped(pkt::PacketPtr** slots, std::size_t n) {
         return;
       }
     }
-    if (ops.n == OutOpList::kCap) flush_output_ops(ops);
-    ops.ops[ops.n++] = OutOp{std::move(q), b, t, ts};
+    if (ops_.n == OutOpList::kCap) flush_output_ops();
+    ops_.ops[ops_.n++] = OutOp{std::move(q), b, t, ts};
   };
   const bool skip_rs =
       (bound_union &
@@ -704,22 +634,20 @@ void IpCore::process_chunk_grouped(pkt::PacketPtr** slots, std::size_t n) {
     const std::size_t s = live[k];
     const pkt::FlowIndex fix = lp[k]->fix;
     aiu::FlowRecord* frp = fix != pkt::kNoFlow ? &flows.rec(fix) : nullptr;
-#if RP_TELEMETRY
-    if (tel_ && tr[s]) {
-      finish_packet<true, true, false>(std::move(*slots[s]), tr[s], t0[s],
-                                       &memo, frp, defer);
-      continue;
-    }
-#endif
+    if constexpr (Traced)
+      if (tr[s]) {
+        finish_packet<true, false>(std::move(*slots[s]), tr[s], t0[s], memo,
+                                   frp, nc[k], emit);
+        continue;
+      }
     if (skip_rs)
-      finish_packet<false, true, true>(std::move(*slots[s]), nullptr, 0, &memo,
-                                       nullptr, defer);
+      finish_packet<false, true>(std::move(*slots[s]), nullptr, 0, memo,
+                                 nullptr, nc[k], emit);
     else
-      finish_packet<false, true, false>(std::move(*slots[s]), nullptr, 0,
-                                        &memo, frp, defer);
+      finish_packet<false, false>(std::move(*slots[s]), nullptr, 0, memo, frp,
+                                  nc[k], emit);
   }
-  flush_output_ops(ops);
-  cur_ops_ = prev;
+  if (ops_.n) flush_output_ops();
 }
 
 // Flushes deferred output ops in order, batching each maximal consecutive
@@ -727,14 +655,11 @@ void IpCore::process_chunk_grouped(pkt::PacketPtr** slots, std::size_t n) {
 // and runs under a non-quiet supervisor (whose per-packet admission/guard
 // semantics must hold exactly) take the per-packet enqueue_output path, in
 // place, so relative order is always preserved.
-void IpCore::flush_output_ops(OutOpList& l) {
+void IpCore::flush_output_ops() {
+  OutOpList& l = ops_;
   std::size_t i = 0;
   while (i < l.n) {
     OutOp& op = l.ops[i];
-    if (!op.p) {
-      ++i;
-      continue;
-    }
     const bool bound = op.b && op.b->instance;
     OutputScheduler* sched =
         bound ? static_cast<OutputScheduler*>(op.b->instance)
@@ -742,7 +667,7 @@ void IpCore::flush_output_ops(OutOpList& l) {
 
     std::size_t j = i + 1;
     if (sched && (!res_ || res_->quiet())) {
-      while (j < l.n && l.ops[j].p) {
+      while (j < l.n) {
         const OutOp& nx = l.ops[j];
         const bool nb = nx.b && nx.b->instance;
         OutputScheduler* ns =
@@ -1065,11 +990,11 @@ void IpCore::emit_icmp_error(const pkt::Packet& orig, std::uint8_t type,
       ic + 2, netbase::checksum(ic, pkt::IcmpHeader::kSize + quote));
 
   ++counters_.icmp_errors_sent;
-  // Flush any output the grouped chunk deferred before this point, so the
-  // error cannot overtake packets forwarded ahead of it; then re-enter the
-  // core so the error is routed like any other packet (recursion guarded by
-  // the ICMP-about-ICMP rule above).
-  if (cur_ops_) flush_output_ops(*cur_ops_);
+  // Flush any output the chunk deferred before this point, so the error
+  // cannot overtake packets forwarded ahead of it; then re-enter the core so
+  // the error is routed like any other packet (recursion guarded by the
+  // ICMP-about-ICMP rule above).
+  if (ops_.n) flush_output_ops();
   process(std::move(icmp));
 }
 
@@ -1111,7 +1036,7 @@ void IpCore::emit_icmpv6_error(const pkt::Packet& orig, std::uint8_t type,
   netbase::store_be16(&ic[2], static_cast<std::uint16_t>(~sum));
 
   ++counters_.icmp_errors_sent;
-  if (cur_ops_) flush_output_ops(*cur_ops_);  // keep egress order (see above)
+  if (ops_.n) flush_output_ops();  // keep egress order (see above)
   process(std::move(icmp));
 }
 

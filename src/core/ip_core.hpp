@@ -97,8 +97,10 @@ struct CoreCounters {
   // and the breaker windows anchored to it — is unchanged.
   std::uint64_t gate_groups{0};
   std::uint64_t gate_group_pkts{0};
-  // Chunks taken by the grouped engine. The name predates the engine's
-  // single form; routerbench reads it as core.fused_share.
+  // Chunks with two or more survivors, the ones with something to group
+  // (every chunk runs the one engine; a lone survivor dispatches per
+  // packet). The name predates the engine's single form; routerbench reads
+  // it as core.fused_share.
   std::uint64_t fused_bursts{0};
   // Group-size histogram: 1, 2, 3-4, 5-8, 9-16, 17+ packets per group.
   static constexpr std::size_t kGroupHistBuckets = 6;
@@ -175,16 +177,15 @@ class IpCore final : public DataPath {
 
   // Batched input path, in chunks of Aiu::kMaxBurst: validates the whole
   // chunk, resolves every survivor's flow index in one AIU pass (hash-once +
-  // bucket/record prefetch + last-flow memo), then runs the gates. A chunk
-  // with two or more survivors and the flow cache on takes the grouped
-  // engine: at each gate the survivors are grouped by instance and each
-  // group is one handle_burst call. Everything else takes the per-packet
-  // loop: one-survivor chunks (process(), paced traffic), where it measures
-  // faster, and the no-cache ablation, whose scratch bindings alias. Gate
-  // order, verdicts, drops, fragmentation, egress order and counters match
-  // feeding the same packets one at a time through process(), except that a
-  // chunk validates before it forwards: its time-exceeded ICMP errors leave
-  // ahead of the unreachable and frag-needed errors its tail emits.
+  // bucket/record prefetch + last-flow memo), then hands the survivors to
+  // the one gate engine: at each gate they are grouped by instance and each
+  // group is one handle_burst call. A lone survivor (process(), paced
+  // traffic) has nothing to group: each of its gates is one handle_packet
+  // call and its output is enqueued in place. Gate order, verdicts, drops,
+  // fragmentation, egress order and counters match feeding the same packets
+  // one at a time through process(), with the flow cache on or off, except
+  // that a chunk validates before it forwards: its time-exceeded ICMP errors
+  // leave ahead of the unreachable and frag-needed errors its tail emits.
   void process_burst(std::span<pkt::PacketPtr> batch) override;
 
   // Output side, driven by the router kernel when a link goes idle: the
@@ -245,16 +246,7 @@ class IpCore final : public DataPath {
   // the generic checks. This function owns the counting either way. On
   // failure the packet is dropped (slot nulled) and false returned.
   bool validate(pkt::PacketPtr& p);
-  // Stages 2+3: gates, forwarding decision, TTL decrement, MTU handling,
-  // output enqueue. The flow index is already resolved (or resolvable via
-  // the per-gate slow path when the cache is disabled). The dispatcher picks
-  // the Traced instantiation for the telemetry-sampled 1-in-N packets; both
-  // share one body so the paths cannot diverge, and the untraced
-  // instantiation compiles to the exact pre-telemetry code.
-  void process_classified(pkt::PacketPtr p);
-  template <bool Traced>
-  void process_classified_impl(pkt::PacketPtr p, telemetry::TraceRecord* tr);
-  // Single-entry forwarding memo, valid for one grouped chunk: a flow's
+  // Single-entry forwarding memo, valid for one chunk: a flow's
   // back-to-back packets share destination and output interface, so the
   // route lookup and interface resolve hit here instead of the tables.
   // Safe because RoutingTable::lookup is const and nothing mutates routes
@@ -265,28 +257,34 @@ class IpCore final : public DataPath {
     bool dst_valid{false};
     pkt::IfIndex oif{0};
     netdev::SimNic* nic{nullptr};
-    // Output-FIFO port memo for the grouped tail's untraced fast path.
+    // Output-FIFO port memo for the tail's untraced fast path.
     pkt::IfIndex fifo_oif{0};
     Port* fifo_port{nullptr};
   };
-  // The tail shared by the per-packet and grouped paths: routing gate, route
-  // lookup, TTL decrement, MTU/fragmentation. `emit(p, sched_binding, tr,
-  // t_start)` receives each output-bound packet (fragments individually) —
-  // the per-packet path enqueues immediately, the grouped path defers into
-  // the chunk's output-op list so same-scheduler runs batch. UseMemo selects
-  // the chunk-scoped lookup memos and inline binding accessors of the
-  // grouped engine (`frp` is the packet's flow record, looked up when its
-  // tail starts; null when unresolved); with UseMemo=false (`memo`/`frp`
-  // null) this compiles to exactly the per-packet tail. SkipGates (grouped
-  // engine only, implies UseMemo) is set when the chunk's flow records prove
-  // the routing and sched gates unbound for every packet, eliding both
-  // lookups.
-  template <bool Traced, bool UseMemo, bool SkipGates, class Emit>
+  // Raw storage for one packet's copy of a no-cache binding (see
+  // uncached_binding); no initializer, so a chunk that copies nothing pays
+  // nothing for its array.
+  struct BindingSlot {
+    alignas(aiu::GateBinding) unsigned char raw[sizeof(aiu::GateBinding)];
+  };
+  // The per-packet tail of the engine: routing gate, route lookup, TTL
+  // decrement, MTU/fragmentation. `emit(p, sched_binding, tr, t_start)`
+  // receives each output-bound packet (fragments individually). `frp` is
+  // the packet's flow record, looked up when its tail starts; null without
+  // the flow cache, when the routing and sched bindings are copied into
+  // `nc`. SkipGates is set when the chunk's flow records prove the routing
+  // and sched gates unbound for every packet, eliding both lookups.
+  template <bool Traced, bool SkipGates, class Emit>
   void finish_packet(pkt::PacketPtr p, telemetry::TraceRecord* tr,
-                     std::uint64_t t_start, FwdMemo* memo,
-                     aiu::FlowRecord* frp, Emit&& emit);
+                     std::uint64_t t_start, FwdMemo& memo,
+                     aiu::FlowRecord* frp, BindingSlot& nc, Emit&& emit);
+  // The binding of a packet with no flow record (the no-cache ablation):
+  // Aiu::gate_lookup hands every such packet one shared scratch binding, so
+  // the engine keeps a per-packet copy in `slot` — a chunk's bindings are
+  // live together. Null when the packet is unparseable.
+  aiu::GateBinding* uncached_binding(pkt::Packet& p, plugin::PluginType gate,
+                                     BindingSlot& slot);
 
-  // ---- grouped (batch-native) gate dispatch ----
   // Deferred output op: one packet ready to enqueue, with the sched-gate
   // binding it resolved and its trace state. A chunk's ops flush in order,
   // batching maximal consecutive same-scheduler runs via enqueue_burst.
@@ -301,11 +299,18 @@ class IpCore final : public DataPath {
     OutOp ops[kCap];
     std::size_t n{0};
   };
-  // Runs cfg_.input_gates group-at-a-time over a chunk's validated, resolved
-  // survivors (`slots` point at the owning PacketPtrs, arrival order), then
-  // the shared per-packet tail, then flushes the output ops.
-  void process_chunk_grouped(pkt::PacketPtr** slots, std::size_t n);
-  void flush_output_ops(OutOpList& l);
+  // The gate engine (stage 3 of the input path): runs cfg_.input_gates
+  // group-at-a-time over a chunk's validated, resolved survivors (`slots`
+  // point at the owning PacketPtrs, arrival order), then the per-packet
+  // tail, then flushes the output ops. Traced is set when the chunk holds a
+  // telemetry-sampled packet (`tr`/`t0`: per-survivor trace record, null if
+  // unsampled, and start cycle); both instantiations share one body, and
+  // the untraced one carries no trace code.
+  template <bool Traced>
+  void process_chunk_grouped(pkt::PacketPtr** slots, std::size_t n,
+                             telemetry::TraceRecord* const* tr,
+                             const std::uint64_t* t0);
+  void flush_output_ops();
 
   void drop(pkt::PacketPtr p, DropReason r);
   void emit_icmp_error(const pkt::Packet& orig, std::uint8_t type,
@@ -335,10 +340,11 @@ class IpCore final : public DataPath {
   // Nesting depth of process_burst (ICMP errors re-enter via process);
   // deferred breaker rebinds apply only when the outermost burst ends.
   unsigned burst_depth_{0};
-  // The grouped chunk currently deferring output ops, or null. emit_icmp
-  // flushes it before re-entering process() so an error datagram can never
-  // overtake a packet that was forwarded before it.
-  OutOpList* cur_ops_{nullptr};
+  // The output ops the current chunk has deferred. emit_icmp_error flushes
+  // them before re-entering process(), so an error datagram can never
+  // overtake a packet forwarded before it, and a nested chunk always starts
+  // on an empty list.
+  OutOpList ops_;
 };
 
 }  // namespace rp::core

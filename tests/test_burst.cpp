@@ -5,6 +5,7 @@
 // the flow cache on or off.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <vector>
 
 #include "core/ip_core.hpp"
@@ -45,8 +46,44 @@ class CountingPlugin final : public plugin::Plugin {
   plugin::Verdict verdict_;
 };
 
+// A plain FIFO at the sched gate: egress order is arrival order, so two
+// rigs fed the same trace must leave identical queues behind.
+class FifoScheduler final : public OutputScheduler {
+ public:
+  bool enqueue(pkt::PacketPtr p, void**, netbase::SimTime) override {
+    q_.push_back(std::move(p));
+    return true;
+  }
+  pkt::PacketPtr dequeue(netbase::SimTime) override {
+    if (q_.empty()) return nullptr;
+    pkt::PacketPtr p = std::move(q_.front());
+    q_.pop_front();
+    return p;
+  }
+  bool empty() const override { return q_.empty(); }
+  std::size_t backlog_packets() const override { return q_.size(); }
+  std::size_t backlog_bytes() const override { return 0; }
+
+ private:
+  std::deque<pkt::PacketPtr> q_;
+};
+
+class FifoPlugin final : public plugin::Plugin {
+ public:
+  explicit FifoPlugin(std::string name)
+      : Plugin(std::move(name), PluginType::sched) {}
+
+ protected:
+  std::unique_ptr<plugin::PluginInstance> make_instance(
+      const plugin::Config&) override {
+    return std::make_unique<FifoScheduler>();
+  }
+};
+
 // One complete router datapath (own AIU, flow table, routes, interfaces)
 // with a stats plugin on every flow and a firewall that drops dport 80.
+// With `sched_gate`, two FIFO schedulers split the trace's flows by source
+// at the sched gate: 10.0.0.0/30 and 10.0.0.4/30.
 struct Rig {
   netbase::SimClock clock;
   plugin::PluginControlUnit pcu;
@@ -56,8 +93,9 @@ struct Rig {
   std::unique_ptr<IpCore> core;
   CountingInstance* stats{nullptr};
   CountingInstance* fw{nullptr};
+  OutputScheduler* fifo[2]{};
 
-  explicit Rig(bool flow_cache) {
+  explicit Rig(bool flow_cache, bool sched_gate = false) {
     aiu::Aiu::Options opt;
     opt.flow_cache_enabled = flow_cache;
     aiu = std::make_unique<aiu::Aiu>(pcu, clock, opt);
@@ -73,6 +111,10 @@ struct Rig {
                 "<*, *, *, *, *, *>");
     fw = add("fw", PluginType::firewall, plugin::Verdict::drop,
              "<*, *, udp, *, 80, *>");
+    if (sched_gate) {
+      fifo[0] = add_fifo("fifo_lo", "<10.0.0.0/30, *, *, *, *, *>");
+      fifo[1] = add_fifo("fifo_hi", "<10.0.0.4/30, *, *, *, *, *>");
+    }
   }
 
   CountingInstance* add(const char* name, PluginType type, plugin::Verdict v,
@@ -85,9 +127,24 @@ struct Rig {
     return inst;
   }
 
+  OutputScheduler* add_fifo(const char* name, const char* filter) {
+    pcu.register_plugin(std::make_unique<FifoPlugin>(name));
+    plugin::InstanceId id = plugin::kNoInstance;
+    pcu.find(name)->create_instance({}, id);
+    auto* inst = static_cast<OutputScheduler*>(pcu.find(name)->instance(id));
+    aiu->create_filter(PluginType::sched, *aiu::Filter::parse(filter), inst);
+    return inst;
+  }
+
   std::vector<std::vector<std::uint8_t>> drain(pkt::IfIndex iface) {
     std::vector<std::vector<std::uint8_t>> out;
     while (auto p = core->next_for_tx(iface, 0))
+      out.emplace_back(p->data(), p->data() + p->size());
+    return out;
+  }
+  static std::vector<std::vector<std::uint8_t>> drain(OutputScheduler* q) {
+    std::vector<std::vector<std::uint8_t>> out;
+    while (auto p = q->dequeue(0))
       out.emplace_back(p->data(), p->data() + p->size());
     return out;
   }
@@ -135,8 +192,8 @@ std::vector<pkt::PacketPtr> make_trace() {
   return t;
 }
 
-void expect_equivalent(bool flow_cache) {
-  Rig single(flow_cache), burst(flow_cache);
+void expect_equivalent(bool flow_cache, bool sched_gate = false) {
+  Rig single(flow_cache, sched_gate), burst(flow_cache, sched_gate);
   auto trace = make_trace();
 
   std::vector<pkt::PacketPtr> a, b;
@@ -185,6 +242,15 @@ void expect_equivalent(bool flow_cache) {
   auto ob = burst.drain(1);
   ASSERT_EQ(oa.size(), ob.size());
   for (std::size_t i = 0; i < oa.size(); ++i) EXPECT_EQ(oa[i], ob[i]) << i;
+
+  // Each packet reached the scheduler its own flow binds, whatever chunk
+  // it shared with the other source block.
+  if (sched_gate)
+    for (std::size_t q = 0; q < 2; ++q) {
+      auto sa = Rig::drain(single.fifo[q]);
+      EXPECT_FALSE(sa.empty()) << "fifo " << q;
+      EXPECT_EQ(sa, Rig::drain(burst.fifo[q])) << "fifo " << q;
+    }
 }
 
 TEST(BurstEquivalence, MatchesSinglePacketPathWithFlowCache) {
@@ -193,6 +259,9 @@ TEST(BurstEquivalence, MatchesSinglePacketPathWithFlowCache) {
 
 TEST(BurstEquivalence, MatchesSinglePacketPathWithoutFlowCache) {
   expect_equivalent(false);
+  // The ablation's AIU hands out one shared scratch binding; a chunk's
+  // deferred output must still carry each packet's own sched binding.
+  expect_equivalent(false, true);
 }
 
 // Null slots (already-consumed packets) in a burst must be skipped, and an

@@ -1,12 +1,14 @@
 // Differential proof for grouped (batch-native) gate dispatch: with the
-// same gate order and the same trace, a core fed in chunks (the grouped
-// engine) must be observationally identical to the same core fed one
-// packet per process() call (the per-packet loop) — same counters, same
-// per-reason drops, same per-instance invocation totals, same per-flow soft
-// state, and byte-identical egress in identical order — for the Table-3
-// gate order and a permutation of it, including mid-burst verdict splits
-// (drop/consume at different gates), ICMP error re-entry, an ICMP error
-// that grows the flow table mid-chunk, and the default handle_burst shim.
+// same gate order and the same trace, a core fed in chunks (groups of
+// packets, one handle_burst call each) must be observationally identical
+// to the same core fed one packet per process() call (the engine's
+// lone-survivor steps, one handle_packet call per gate) — same counters,
+// same per-reason drops, same per-instance invocation totals, same
+// per-flow soft state, and byte-identical egress in identical order — for
+// the Table-3 gate order and a permutation of it, including mid-burst
+// verdict splits (drop/consume at different gates), ICMP error re-entry,
+// an ICMP error that grows the flow table mid-chunk, and the default
+// handle_burst shim.
 //
 // The sharded and adversarial variants live in the ShardDiff / WireFuzz
 // suites (names chosen so ctest's parallel-diff-tsan and fuzz labels pick
@@ -141,7 +143,7 @@ const std::vector<PluginType> kPermutedOrder = {
     PluginType::stats, PluginType::ipsec, PluginType::ipopt};
 
 // The reference every differential compares against: the same stack fed
-// one packet per process() call, which is the per-packet loop.
+// one packet per process() call, a lone survivor in every chunk.
 void process_one_at_a_time(IpCore& core, std::span<pkt::PacketPtr> pkts) {
   for (auto& p : pkts) core.process(std::move(p));
 }
@@ -395,8 +397,8 @@ void expect_equivalent(const std::vector<PluginType>& order, bool t3_order,
   EXPECT_GT(dut.taps.ipopt->burst_calls, 0u);
   EXPECT_GT(dut.taps.stats_b->burst_calls, 0u);
 
-  // Group accounting: every group histogrammed, sizes add up, and the
-  // grouped engine took chunks whatever the gate order.
+  // Group accounting: every group histogrammed, sizes add up, and chunks
+  // with two or more survivors were counted whatever the gate order.
   const CoreCounters& cc = dut.core->counters();
   EXPECT_GT(cc.gate_groups, 0u);
   std::uint64_t hist_sum = 0;
@@ -478,7 +480,7 @@ TEST(GateBatch, IcmpErrorThatGrowsFlowTableMidChunk) {
   EXPECT_EQ(cc.received, 5u);
   EXPECT_EQ(cc.forwarded, 4u);
   EXPECT_EQ(cc.icmp_errors_sent, 1u);
-  EXPECT_EQ(cc.fused_bursts, 1u);  // the grouped engine took the chunk
+  EXPECT_EQ(cc.fused_bursts, 1u);  // one chunk with two or more survivors
   EXPECT_GT(dut.aiu->flow_table().capacity(), 4u);  // and the table grew
   expect_taps_equal(ref.taps, dut.taps);
 
@@ -544,7 +546,7 @@ TEST(GateBatch, DefaultShimMatchesPerPacket) {
 
 // Full same-flow bursts: exact group accounting. 3 bound gates x 2 chunks
 // of 32 identical-flow packets = 6 groups of 32, all in the 17+ bucket,
-// and every chunk taken by the grouped engine.
+// and both chunks counted as fused (two or more survivors).
 TEST(GateBatch, GroupCountersExact) {
   Rig rig(kT3Order);
   std::vector<pkt::PacketPtr> batch;
